@@ -21,6 +21,11 @@ constexpr long kSizes[] = {60, 100};
 
 ir::Env params_for(long n) { return {{"N", n}}; }
 
+/// Flush sink for the traced rows: counts the delivered records.
+void count_records(void* ctx, std::span<const interp::TraceRecord> recs) {
+  *static_cast<std::uint64_t*>(ctx) += recs.size();
+}
+
 void BM_TreeWalker(benchmark::State& st) {
   ir::Program p = kernels::lu_point_ir();
   interp::Interpreter in(p, params_for(st.range(0)));
@@ -56,9 +61,7 @@ void BM_TreeWalkerTraced(benchmark::State& st) {
   std::uint64_t events = 0;
   for (auto _ : st) {
     interp::seed_store(eng.store(), 42);
-    interp::TraceBuffer buf(1 << 20,
-                            [&events](std::span<const interp::TraceRecord>
-                                          recs) { events += recs.size(); });
+    interp::TraceBuffer buf(1 << 20, &events, count_records);
     eng.run(buf);
     buf.flush();
   }
@@ -71,9 +74,7 @@ void BM_VmTraced(benchmark::State& st) {
   std::uint64_t events = 0;
   for (auto _ : st) {
     interp::seed_store(eng.store(), 42);
-    interp::TraceBuffer buf(1 << 20,
-                            [&events](std::span<const interp::TraceRecord>
-                                          recs) { events += recs.size(); });
+    interp::TraceBuffer buf(1 << 20, &events, count_records);
     eng.run(buf);
     buf.flush();
   }

@@ -1,16 +1,15 @@
 // Trace-pipeline benchmarks (the evidence behind DESIGN.md §16):
 //
-//   1. sink dispatch   — TraceBuffer's devirtualized fn-pointer sink vs
-//                        the legacy std::function sink (google-benchmark).
+//   1. sink dispatch   — TraceBuffer's fn-pointer flush sink
+//                        (google-benchmark).
 //   2. compression     — synthesized blocked-LU trace vs the raw
 //                        TraceRecord stream it replaces (N=512: gigabytes
 //                        down to megabytes).
-//   3. sweep modes     — the same candidate sweep on the Raw path (VM
-//                        re-execution per candidate), on the trace
-//                        pipeline with a cold store (synthesize + replay),
-//                        and with a warm store (replay only) — the
-//                        record-once/replay-many claim, with the chosen KS
-//                        pinned equal across all three.
+//   3. sweep modes     — the same candidate sweep with a cold store
+//                        (synthesize + replay) and with a warm store
+//                        (replay only) — the record-once/replay-many
+//                        claim, with the chosen KS pinned equal across
+//                        both.
 //   4. sharded replay  — bit-identical merged stats at 1..8 workers, with
 //                        per-worker-count timings.
 //   5. sampling        — sampled-vs-full sweep agreement at a size where
@@ -67,25 +66,6 @@ void BM_SinkFnPointer(benchmark::State& st) {
 }
 BENCHMARK(BM_SinkFnPointer);
 
-void BM_SinkStdFunction(benchmark::State& st) {
-  std::uint64_t total = 0;
-  for (auto _ : st) {
-    interp::TraceBuffer tb(
-        kSinkFlush,
-        interp::TraceBuffer::Sink(
-            [&total](std::span<const interp::TraceRecord> r) {
-              total += r.size();
-            }));
-    for (std::size_t i = 0; i < kSinkRecords; ++i)
-      tb.append(i * 8, (i & 7) == 0);
-    tb.flush();
-  }
-  benchmark::DoNotOptimize(total);
-  st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                       static_cast<std::int64_t>(kSinkRecords));
-}
-BENCHMARK(BM_SinkStdFunction);
-
 // ---------------------------------------------------------------------
 // Shared fixtures.
 
@@ -141,24 +121,15 @@ int main(int argc, char** argv) {
   const double compression = t512.compression_ratio();
 
   // -------------------------------------------------------------------
-  // 3. The same sweep three ways.  min-of-2 timings.
+  // 3. The same sweep cold and warm.  min-of-2 timings.
   model::SweepOptions base;
   base.candidates = {4, 8, 16, 32, 64};
   base.probe_params = {{"N", 128}};
   base.levels = kL1;
   base.shard_records = 1u << 18;  // parallelize even probe-sized replays
 
-  model::SweepResult raw_res, cold_res, warm_res;
-  double raw_s = 1e30, cold_s = 1e30, warm_s = 1e30;
-  {
-    model::SweepOptions opt = base;
-    opt.trace_format = model::TraceFormat::Raw;
-    for (int i = 0; i < 2; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      raw_res = model::sweep_block_sizes(lu, opt);
-      raw_s = std::min(raw_s, now_minus(t0));
-    }
-  }
+  model::SweepResult cold_res, warm_res;
+  double cold_s = 1e30, warm_s = 1e30;
   for (int i = 0; i < 2; ++i) {
     trace::TraceStore store;  // fresh: synthesize + replay each candidate
     model::SweepOptions opt = base;
@@ -178,11 +149,8 @@ int main(int argc, char** argv) {
       warm_s = std::min(warm_s, now_minus(t0));
     }
   }
-  const long raw_ks = raw_res.rows[raw_res.best_index].ks;
   const long cold_ks = cold_res.rows[cold_res.best_index].ks;
   const long warm_ks = warm_res.rows[warm_res.best_index].ks;
-  const bool ks_equal = raw_ks == cold_ks && cold_ks == warm_ks;
-  const double replay_speedup = raw_s / warm_s;
 
   // -------------------------------------------------------------------
   // 4. Sharded replay: merged stats must be bit-identical at any worker
@@ -255,12 +223,10 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------
   // Report.
   blk::bench::Table modes({"sweep mode", "time", "speedup", "best KS"});
-  modes.row({"raw (VM per candidate)", blk::bench::fmt_time(raw_s), "1.00",
-             std::to_string(raw_ks)});
-  modes.row({"trace, cold store", blk::bench::fmt_time(cold_s),
-             blk::bench::fmt_speedup(raw_s, cold_s), std::to_string(cold_ks)});
-  modes.row({"trace, warm store", blk::bench::fmt_time(warm_s),
-             blk::bench::fmt_speedup(raw_s, warm_s), std::to_string(warm_ks)});
+  modes.row({"cold store", blk::bench::fmt_time(cold_s), "1.00",
+             std::to_string(cold_ks)});
+  modes.row({"warm store", blk::bench::fmt_time(warm_s),
+             blk::bench::fmt_speedup(cold_s, warm_s), std::to_string(warm_ks)});
   modes.print("T-TRACE: blocked LU N=128, 5 candidates, L1 32K/64B/4");
 
   blk::bench::Table ev({"evidence", "value"});
@@ -285,23 +251,17 @@ int main(int argc, char** argv) {
           fmt_d("%.3g", static_cast<double>(big_records))});
   ev.print("T-TRACE: pipeline evidence");
 
-  if (!ks_equal)
+  if (cold_ks != warm_ks)
     std::fprintf(stderr,
-                 "WARNING: sweep modes disagree on KS (raw=%ld cold=%ld "
-                 "warm=%ld)\n",
-                 raw_ks, cold_ks, warm_ks);
+                 "WARNING: sweep modes disagree on KS (cold=%ld warm=%ld)\n",
+                 cold_ks, warm_ks);
 
   if (json.enabled()) {
     json.set_parallel(true);
     json.row("sink_fnptr_1M", rep.get("BM_SinkFnPointer"));
-    json.row("sink_stdfunction_1M", rep.get("BM_SinkStdFunction"),
-             rep.get("BM_SinkFnPointer") > 0
-                 ? rep.get("BM_SinkFnPointer") / rep.get("BM_SinkStdFunction")
-                 : -1.0);
     json.row("synthesize_lu512", synth_s);
-    json.row("sweep_raw_vm_n128", raw_s);
-    json.row("sweep_trace_cold_n128", cold_s, raw_s / cold_s);
-    json.row("sweep_trace_warm_n128", warm_s, raw_s / warm_s);
+    json.row("sweep_trace_cold_n128", cold_s);
+    json.row("sweep_trace_warm_n128", warm_s, cold_s / warm_s);
     for (unsigned w : {1u, 2u, 4u, 8u})
       json.row("replay_lu128_workers" + std::to_string(w), replay_secs[w],
                replay_secs[1] / replay_secs[w]);
@@ -313,9 +273,7 @@ int main(int argc, char** argv) {
     tr += ", \"shard_bit_identical\": ";
     tr += bit_identical ? "true" : "false";
     tr += ", \"workers_checked\": 8";
-    tr += ", \"replay_speedup_vs_vm\": " + fmt_d("%.3f", replay_speedup);
-    tr += ", \"ks\": {\"raw\": " + std::to_string(raw_ks) +
-          ", \"cold\": " + std::to_string(cold_ks) +
+    tr += ", \"ks\": {\"cold\": " + std::to_string(cold_ks) +
           ", \"warm\": " + std::to_string(warm_ks) + "}";
     tr += ", \"sample\": {\"full_ks\": " + std::to_string(full_ks) +
           ", \"sampled_ks\": " + std::to_string(samp_ks) +

@@ -95,21 +95,6 @@ constexpr std::size_t kTraceBatch = 1 << 20;
 
 }  // namespace
 
-CacheStats simulate(const ir::Program& p, const ir::Env& params,
-                    const CacheConfig& cfg, std::uint64_t seed) {
-  interp::ExecEngine eng(p, params);
-  interp::seed_store(eng.store(), seed);
-  Cache cache(cfg);
-  interp::TraceBuffer buf(
-      kTraceBatch, &cache,
-      [](void* ctx, std::span<const interp::TraceRecord> recs) {
-        static_cast<Cache*>(ctx)->simulate(recs);
-      });
-  eng.run(buf);
-  buf.flush();
-  return cache.stats();
-}
-
 Hierarchy::Hierarchy(std::vector<CacheConfig> levels) {
   if (levels.empty()) throw Error("Hierarchy: need at least one level");
   levels_.reserve(levels.size());
@@ -178,6 +163,11 @@ std::vector<CacheStats> simulate_hierarchy(const ir::Program& p,
   for (std::size_t i = 0; i < h.num_levels(); ++i)
     out.push_back(h.stats(i));
   return out;
+}
+
+CacheStats simulate(const ir::Program& p, const ir::Env& params,
+                    const CacheConfig& cfg, std::uint64_t seed) {
+  return simulate_hierarchy(p, params, {cfg}, seed).front();
 }
 
 std::string summary(const CacheConfig& cfg, const CacheStats& st) {

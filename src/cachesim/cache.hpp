@@ -101,11 +101,6 @@ class Cache {
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
-  /// Adapter usable directly as an interpreter trace callback.
-  [[nodiscard]] interp::TraceFn trace_fn() {
-    return [this](std::uint64_t addr, bool) { access(addr); };
-  }
-
  private:
   struct Line {
     std::uint64_t tag = 0;
@@ -123,6 +118,7 @@ class Cache {
 
 /// Run `p` under `params` with inputs seeded by `seed`, replaying every
 /// array access through a cache of geometry `cfg`; returns the statistics.
+/// The one-level case of simulate_hierarchy().
 [[nodiscard]] CacheStats simulate(const ir::Program& p, const ir::Env& params,
                                   const CacheConfig& cfg,
                                   std::uint64_t seed = 42);
@@ -160,10 +156,6 @@ class Hierarchy {
   /// (cycles); `latencies` must have num_levels()+1 entries, the last
   /// being memory.
   [[nodiscard]] double amat(std::span<const double> latencies) const;
-
-  [[nodiscard]] interp::TraceFn trace_fn() {
-    return [this](std::uint64_t addr, bool) { access(addr); };
-  }
 
  private:
   std::vector<Cache> levels_;

@@ -79,9 +79,9 @@ Interpreter::Interpreter(const ir::Program& program, ir::Env params)
   store_ = make_store(program_, params_);
 }
 
-void Interpreter::run(const TraceFn& trace) {
+void Interpreter::run(TraceBuffer* trace) {
   loop_env_ = params_;
-  trace_ = trace ? &trace : nullptr;
+  trace_ = trace;
   stmts_ = 0;
   exec_list(program_.body);
 }
@@ -160,7 +160,7 @@ double Interpreter::load(const std::string& name, std::span<const long> idx) {
     throw Error("Interpreter: undeclared array " + name);
   Tensor& t = it->second;
   std::size_t flat = t.offset(idx);
-  if (trace_) (*trace_)(t.address(flat), /*is_write=*/false);
+  if (trace_) trace_->append(t.address(flat), /*is_write=*/false);
   return t.flat()[flat];
 }
 
@@ -171,7 +171,7 @@ void Interpreter::store_element(const std::string& name,
     throw Error("Interpreter: undeclared array " + name);
   Tensor& t = it->second;
   std::size_t flat = t.offset(idx);
-  if (trace_) (*trace_)(t.address(flat), /*is_write=*/true);
+  if (trace_) trace_->append(t.address(flat), /*is_write=*/true);
   t.flat()[flat] = v;
 }
 

@@ -3,18 +3,18 @@
 // Executes any blk::ir::Program against dense double-precision storage.  It
 // is the library's correctness oracle: a transformation is validated by
 // running the original and transformed programs on identical random inputs
-// and comparing every array element.  An optional trace callback receives
+// and comparing every array element.  An optional TraceBuffer receives
 // each array access as a synthetic byte address, which feeds the cache
 // simulator (src/cachesim) to measure memory behaviour machine-independently.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "interp/trace.hpp"
 #include "ir/program.hpp"
 
 namespace blk::interp {
@@ -65,9 +65,6 @@ struct Store {
   std::map<std::string, double> scalars;
 };
 
-/// Trace callback: one event per array-element access.
-using TraceFn = std::function<void(std::uint64_t addr, bool is_write)>;
-
 /// Allocate the Store for a program instance: one Tensor per declared
 /// array (evaluated under `params`, each at a distinct 64-byte-aligned
 /// synthetic base address with a guard gap) plus zeroed declared scalars.
@@ -95,9 +92,10 @@ class Interpreter {
   [[nodiscard]] const Store& store() const { return store_; }
   [[nodiscard]] const ir::Env& params() const { return params_; }
 
-  /// Execute the program body.  Throws blk::Error on out-of-bounds
-  /// accesses, unbound variables, or non-terminating loop steps.
-  void run(const TraceFn& trace = nullptr);
+  /// Execute the program body; when `trace` is non-null every array-
+  /// element access appends one record.  Throws blk::Error on out-of-
+  /// bounds accesses, unbound variables, or non-terminating loop steps.
+  void run(TraceBuffer* trace = nullptr);
 
   /// Total number of statement executions in the last run (a cheap
   /// operation-count proxy used by tests).
@@ -108,7 +106,7 @@ class Interpreter {
   ir::Env params_;
   Store store_;
   ir::Env loop_env_;  ///< params + live loop variables
-  const TraceFn* trace_ = nullptr;
+  TraceBuffer* trace_ = nullptr;
   std::uint64_t stmts_ = 0;
 
   void exec_list(const ir::StmtList& body);

@@ -1,28 +1,21 @@
-// Flat access-trace records and the reusable buffer the VM emits them into.
+// Flat access-trace records and the reusable buffer every traced engine
+// run emits them into.
 //
-// The tree-walking interpreter reports each array access through a
-// per-access std::function callback; at fuzzer and cache-ablation scale
-// that dispatch dominates the run.  The VM instead appends fixed-size
-// records to a TraceBuffer, and consumers replay whole batches (e.g.
-// cachesim::Cache::simulate) without any per-access indirection.  A
-// buffer may optionally carry a sink: once `flush_threshold` records
-// accumulate they are delivered in one span and the buffer is reused, so
-// arbitrarily long traces (N=300 LU is ~10^8 accesses) run in constant
-// memory.
+// Both the tree-walker and the VM append fixed-size records to a
+// TraceBuffer, and consumers replay whole batches (e.g.
+// cachesim::Hierarchy::simulate) without any per-access indirection.  A
+// buffer either retains its records or carries a sink: once
+// `flush_threshold` records accumulate they are delivered in one span and
+// the buffer is reused, so arbitrarily long traces (N=300 LU is ~10^8
+// accesses) run in constant memory.
 //
-// The sink is a plain function pointer plus context, not a std::function:
-// every flush on the product path (cachesim streaming, the trace
-// encoder's record hook) dispatches through one indirect call with no
-// allocation or type erasure.  A std::function convenience constructor
-// remains for tests and ad-hoc callers; it boxes the callable once and
-// trampolines through the same pointer, so the hot append loop is
-// identical either way (bench_trace pins the flush-dispatch difference).
+// The sink is a plain function pointer plus context: every flush
+// (cachesim streaming, the trace encoder's record hook) dispatches through
+// one indirect call with no allocation or type erasure.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,10 +32,8 @@ struct TraceRecord {
 /// Growable, reusable trace store with optional batched delivery.
 class TraceBuffer {
  public:
-  /// Devirtualized sink: one indirect call per flush, no type erasure.
+  /// Batch sink: one indirect call per flush, no type erasure.
   using SinkFn = void (*)(void* ctx, std::span<const TraceRecord>);
-  /// Legacy erased sink, kept for tests and ad-hoc consumers.
-  using Sink = std::function<void(std::span<const TraceRecord>)>;
 
   TraceBuffer() { recs_.reserve(4096); }
 
@@ -50,18 +41,6 @@ class TraceBuffer {
   /// are handed to `sink(ctx, ...)` and dropped, bounding memory.
   TraceBuffer(std::size_t flush_threshold, void* ctx, SinkFn sink)
       : flush_threshold_(flush_threshold), sink_ctx_(ctx), sink_fn_(sink) {
-    recs_.reserve(flush_threshold_ ? flush_threshold_ : 4096);
-  }
-
-  /// Legacy streaming mode: boxes the callable once; flushes trampoline
-  /// through the same function-pointer path as the devirtualized sink.
-  TraceBuffer(std::size_t flush_threshold, Sink sink)
-      : flush_threshold_(flush_threshold),
-        boxed_(std::make_unique<Sink>(std::move(sink))) {
-    sink_ctx_ = boxed_.get();
-    sink_fn_ = [](void* ctx, std::span<const TraceRecord> recs) {
-      (*static_cast<Sink*>(ctx))(recs);
-    };
     recs_.reserve(flush_threshold_ ? flush_threshold_ : 4096);
   }
 
@@ -81,9 +60,7 @@ class TraceBuffer {
   void clear() { recs_.clear(); }
 
   /// Move the retained records out (the buffer is left empty and
-  /// reusable).  Lets a consumer hand a whole trace to another thread
-  /// without copying — the machine-model sweep replays per-candidate
-  /// traces on a simulator pool while the VM produces the next one.
+  /// reusable), so a consumer can keep a whole trace without copying.
   [[nodiscard]] std::vector<TraceRecord> take_records() {
     std::vector<TraceRecord> out;
     out.swap(recs_);
@@ -99,7 +76,6 @@ class TraceBuffer {
   std::size_t flush_threshold_ = 0;
   void* sink_ctx_ = nullptr;
   SinkFn sink_fn_ = nullptr;
-  std::unique_ptr<Sink> boxed_;  ///< keeps a legacy callable alive
 };
 
 }  // namespace blk::interp

@@ -442,34 +442,14 @@ void ExecEngine::run() {
 }
 
 void ExecEngine::run(TraceBuffer& tb) {
-  if (tw_) {
-    tw_->run([&tb](std::uint64_t addr, bool w) { tb.append(addr, w); });
-    return;
-  }
   if (nat_ || tiered_)
     throw Error(
         "native/tiered engines do not produce access traces; use "
         "Engine::Vm");
-  vm_->run(&tb);
-}
-
-void ExecEngine::run(const TraceFn& fn) {
-  if (tw_) {
-    tw_->run(fn);
-    return;
-  }
-  if (nat_ || tiered_)
-    throw Error(
-        "native/tiered engines do not produce access traces; use "
-        "Engine::Vm");
-  // Adapt the VM's batched tracing to the legacy per-access callback.
-  TraceBuffer buf(1 << 16, const_cast<TraceFn*>(&fn),
-                  [](void* ctx, std::span<const TraceRecord> recs) {
-                    const TraceFn& f = *static_cast<TraceFn*>(ctx);
-                    for (const TraceRecord& r : recs) f(r.addr, r.is_write);
-                  });
-  vm_->run(&buf);
-  buf.flush();
+  if (tw_)
+    tw_->run(&tb);
+  else
+    vm_->run(&tb);
 }
 
 std::uint64_t ExecEngine::statements_executed() const {

@@ -78,8 +78,8 @@ struct TieredOptions;
 /// facade silently falls back to the VM: engine() reports the *effective*
 /// engine, so callers can tell.  Compile or load failures with a working
 /// toolchain still throw — those are bugs, not environment.  The native
-/// engine produces no access traces and no statement counts (traced run()
-/// overloads throw; statements_executed() is 0).
+/// engine produces no access traces and no statement counts (the traced
+/// run() throws; statements_executed() is 0).
 class ExecEngine {
  public:
   /// `parallel` (Native only) is the certified parallel plan forwarded to
@@ -101,9 +101,8 @@ class ExecEngine {
   [[nodiscard]] const ir::Env& params() const;
   [[nodiscard]] Engine engine() const { return engine_; }
 
-  void run();                  ///< untraced
-  void run(TraceBuffer& tb);   ///< batched tracing
-  void run(const TraceFn& fn); ///< legacy per-access callback
+  void run();                 ///< untraced
+  void run(TraceBuffer& tb);  ///< tree-walker and VM only
 
   [[nodiscard]] std::uint64_t statements_executed() const;
 

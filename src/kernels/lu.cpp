@@ -134,71 +134,6 @@ void lu_block_opt(Matrix& a, std::size_t ks) {
   }
 }
 
-void lu_block_opt_parallel(Matrix& a, std::size_t ks) {
-#ifndef BLK_HAVE_OPENMP
-  lu_block_opt(a, ks);
-#else
-  const std::size_t n = a.rows();
-  if (n == 0) return;
-  for (std::size_t kb = 0; kb + 1 < n; kb += ks) {
-    const std::size_t ke = std::min(kb + ks - 1, n - 2);
-    // Panel factorization stays sequential (it carries the recurrence).
-    for (std::size_t kk = kb; kk <= ke; ++kk) {
-      const double pivot = a(kk, kk);
-      double* akk = a.col(kk);
-      for (std::size_t i = kk + 1; i < n; ++i) akk[i] /= pivot;
-      const std::size_t jhi = std::min(kb + ks - 1, n - 1);
-      for (std::size_t j = kk + 1; j <= jhi; ++j) {
-        const double av = a(kk, j);
-        double* aj = a.col(j);
-        for (std::size_t i = kk + 1; i < n; ++i) aj[i] -= akk[i] * av;
-      }
-    }
-    // Trailing update: the J loop is dependence-free across columns (the
-    // §5.1 parallelism), so 4-column blocks go to the team.
-    const long first = static_cast<long>(kb + ks);
-    const long last = static_cast<long>(n);
-#pragma omp parallel for schedule(static)
-    for (long j4 = first; j4 < last; j4 += 4) {
-      const std::size_t j0 = static_cast<std::size_t>(j4);
-      const std::size_t jend = std::min<std::size_t>(j0 + 4, n);
-      if (jend - j0 == 4) {
-        double* c0 = a.col(j0);
-        double* c1 = a.col(j0 + 1);
-        double* c2 = a.col(j0 + 2);
-        double* c3 = a.col(j0 + 3);
-        for (std::size_t i = kb + 1; i < n; ++i) {
-          const std::size_t khi = std::min(ke, i - 1);
-          double t0 = c0[i], t1 = c1[i], t2 = c2[i], t3 = c3[i];
-          for (std::size_t kk = kb; kk <= khi; ++kk) {
-            const double aik = a(i, kk);
-            t0 -= aik * c0[kk];
-            t1 -= aik * c1[kk];
-            t2 -= aik * c2[kk];
-            t3 -= aik * c3[kk];
-          }
-          c0[i] = t0;
-          c1[i] = t1;
-          c2[i] = t2;
-          c3[i] = t3;
-        }
-      } else {
-        for (std::size_t j = j0; j < jend; ++j) {
-          double* cj = a.col(j);
-          for (std::size_t i = kb + 1; i < n; ++i) {
-            const std::size_t khi = std::min(ke, i - 1);
-            double t = cj[i];
-            for (std::size_t kk = kb; kk <= khi; ++kk)
-              t -= a(i, kk) * cj[kk];
-            cj[i] = t;
-          }
-        }
-      }
-    }
-  }
-#endif
-}
-
 double lu_residual(const Matrix& factors, const Matrix& a0) {
   const std::size_t n = factors.rows();
   double worst = 0.0;

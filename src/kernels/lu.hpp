@@ -31,13 +31,6 @@ void lu_block_derived(Matrix& a, std::size_t ks);
 /// 4) and scalar replacement of the A(I,J) accumulators.
 void lu_block_opt(Matrix& a, std::size_t ks);
 
-/// "2+" with the trailing-update J loop run in parallel — the paper's
-/// §5.1 remark that the blocked form "also has increased parallelism as
-/// the J-loop ... can be made parallel" (each trailing column's delayed
-/// updates are independent).  Falls back to the serial kernel when built
-/// without OpenMP.
-void lu_block_opt_parallel(Matrix& a, std::size_t ks);
-
 /// ||L*U - A0||_max / n: reconstruction residual against the original
 /// matrix (a0), for correctness checks.
 [[nodiscard]] double lu_residual(const Matrix& factors, const Matrix& a0);

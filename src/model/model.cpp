@@ -304,23 +304,20 @@ std::string BlockChoice::to_string() const {
                   best_swept_ks, metric_name.c_str(), best_swept_metric,
                   within_tolerance() ? "yes" : "NO");
     os << tail << "\n";
-    if (compressed_traces) {
-      os << "  traces: " << (traces_synthesized ? "synthesized" : "recorded")
-         << ", store " << store_hits << " hit/" << store_misses << " miss";
-      if (sample_every > 1) {
-        char samp[96];
-        std::snprintf(samp, sizeof samp,
-                      ", sampled 1/%ld (probe delta %.6f)", sample_every,
-                      sample_delta);
-        os << samp;
-      } else if (sample_validated) {
-        char samp[96];
-        std::snprintf(samp, sizeof samp,
-                      ", sampling rejected (probe delta %.6f)", sample_delta);
-        os << samp;
-      }
-      os << "\n";
+    os << "  traces: " << (traces_synthesized ? "synthesized" : "recorded")
+       << ", store " << store_hits << " hit/" << store_misses << " miss";
+    if (sample_every > 1) {
+      char samp[96];
+      std::snprintf(samp, sizeof samp, ", sampled 1/%ld (probe delta %.6f)",
+                    sample_every, sample_delta);
+      os << samp;
+    } else if (sample_validated) {
+      char samp[96];
+      std::snprintf(samp, sizeof samp,
+                    ", sampling rejected (probe delta %.6f)", sample_delta);
+      os << samp;
     }
+    os << "\n";
   }
   if (!note.empty()) os << "  note: " << note << "\n";
   return os.str();
@@ -346,8 +343,6 @@ std::string BlockChoice::to_json() const {
      << "  \"best_swept_ks\": " << best_swept_ks << ",\n"
      << "  \"best_swept_metric\": " << best_swept_metric << ",\n"
      << "  \"within_tolerance\": " << (within_tolerance() ? "true" : "false")
-     << ",\n"
-     << "  \"compressed_traces\": " << (compressed_traces ? "true" : "false")
      << ",\n"
      << "  \"traces_synthesized\": "
      << (traces_synthesized ? "true" : "false") << ",\n"

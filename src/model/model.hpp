@@ -119,8 +119,7 @@ struct BlockChoice {
   long best_swept_ks = 0;             ///< argmin over every swept row
   double best_swept_metric = 0;
 
-  // Trace-pipeline evidence (compressed record-once/replay-many sweeps).
-  bool compressed_traces = false;  ///< sweep ran on the trace pipeline
+  // Trace-pipeline evidence (record-once/replay-many sweeps).
   bool traces_synthesized = false; ///< traces from the affine synthesizer
   long sample_every = 1;           ///< effective sampling stride
   bool sample_validated = false;   ///< a sampled-vs-full probe ran

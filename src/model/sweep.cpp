@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <thread>
 
 #include "interp/trace.hpp"
@@ -20,114 +18,11 @@ namespace blk::model {
 
 namespace {
 
-struct Job {
-  std::size_t index = 0;
-  std::vector<interp::TraceRecord> trace;
-};
-
-/// The original in-memory path: one VM producer, raw traces fanned out to
-/// per-worker cachesim instances through a bounded queue.
-SweepResult sweep_raw(const ir::Program& blocked, const SweepOptions& opt) {
-  SweepResult result;
-  const bool use_amat = opt.latencies.size() == opt.levels.size() + 1;
-  result.metric_name = use_amat ? "amat" : "miss_ratio";
-  result.rows.resize(opt.candidates.size());
-
-  unsigned workers = opt.workers;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 2;
-    workers = std::min(workers, 8u);
-  }
-  workers = std::min<unsigned>(
-      workers, static_cast<unsigned>(opt.candidates.size()));
-
-  // Shared work queue: the producer (the single VM) stays at most
-  // `max_in_flight` traces ahead of the simulators, bounding memory.
-  std::mutex mu;
-  std::condition_variable cv_put, cv_get;
-  std::queue<Job> queue;
-  bool done = false;
-  const std::size_t cap = std::max<std::size_t>(1, opt.max_in_flight);
-
-  auto worker = [&] {
-    // Per-worker hierarchy: stats are reset between jobs, so one worker
-    // can simulate many candidates without cross-talk.
-    cachesim::Hierarchy h(opt.levels);
-    for (;;) {
-      Job job;
-      {
-        std::unique_lock lock(mu);
-        cv_get.wait(lock, [&] { return !queue.empty() || done; });
-        if (queue.empty()) return;
-        job = std::move(queue.front());
-        queue.pop();
-      }
-      cv_put.notify_one();
-      h.reset();
-      h.simulate(job.trace);
-      CandidateResult& row = result.rows[job.index];
-      row.trace_len = job.trace.size();
-      for (std::size_t i = 0; i < h.num_levels(); ++i)
-        row.levels.push_back(h.stats(i));
-      row.metric = use_amat ? h.amat(opt.latencies)
-                            : h.stats(0).miss_ratio();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) pool.emplace_back(worker);
-
-  std::optional<Error> failure;
-  {
-    // ONE engine for the whole sweep: the blocking factor is a runtime
-    // scalar, so each candidate is a store write plus a re-run.
-    interp::ExecEngine eng(blocked, opt.probe_params);
-    for (std::size_t i = 0; i < opt.candidates.size(); ++i) {
-      result.rows[i].ks = opt.candidates[i];
-      try {
-        interp::seed_store(eng.store(), opt.seed);
-        // Scalars keep values across runs; zero them so candidate i+1
-        // starts from the same state candidate 0 did.
-        for (auto& [name, value] : eng.store().scalars) value = 0.0;
-        eng.store().scalars[opt.ks_scalar] =
-            static_cast<double>(opt.candidates[i]);
-        interp::TraceBuffer tb;
-        eng.run(tb);
-        Job job{.index = i, .trace = tb.take_records()};
-        {
-          std::unique_lock lock(mu);
-          cv_put.wait(lock, [&] { return queue.size() < cap; });
-          queue.push(std::move(job));
-        }
-        cv_get.notify_one();
-      } catch (const Error& e) {
-        failure = e;
-        break;
-      }
-    }
-  }
-  {
-    std::lock_guard lock(mu);
-    done = true;
-  }
-  cv_get.notify_all();
-  for (std::thread& t : pool) t.join();
-  if (failure) throw *failure;
-
-  result.best_index = 0;
-  for (std::size_t i = 1; i < result.rows.size(); ++i)
-    if (result.rows[i].metric < result.rows[result.best_index].metric)
-      result.best_index = i;
-  return result;
-}
-
 /// Record-once/replay-many: compressed traces out of the TraceStore,
 /// sharded deterministic replay per candidate.
-class CompressedSweep {
+class Sweep {
  public:
-  CompressedSweep(const ir::Program& blocked, const SweepOptions& opt)
+  Sweep(const ir::Program& blocked, const SweepOptions& opt)
       : prog_(blocked),
         opt_(opt),
         store_(opt.store ? *opt.store : trace::TraceStore::process()),
@@ -137,7 +32,6 @@ class CompressedSweep {
 
   SweepResult run() {
     SweepResult result;
-    result.compressed = true;
     const bool use_amat = opt_.latencies.size() == opt_.levels.size() + 1;
     result.metric_name = use_amat ? "amat" : "miss_ratio";
 
@@ -296,8 +190,9 @@ class CompressedSweep {
       enc.finish();
     } else {
       // Data-dependent program: record one VM execution through the
-      // encoder.  The engine is compiled once and reused per candidate
-      // (the factor is a store write, exactly as in the Raw path).
+      // encoder.  The engine is compiled once and reused per candidate:
+      // the factor is a runtime scalar, so each candidate is a store write
+      // plus a re-run, never a recompilation.
       if (!engine_) engine_.emplace(prog_, opt_.probe_params);
       interp::seed_store(engine_->store(), opt_.seed);
       for (auto& [name, value] : engine_->store().scalars) value = 0.0;
@@ -336,8 +231,7 @@ SweepResult sweep_block_sizes(const ir::Program& blocked,
   if (opt.sample_every < 1)
     throw Error("sweep_block_sizes: sample_every must be >= 1");
 
-  if (opt.trace_format == TraceFormat::Raw) return sweep_raw(blocked, opt);
-  return CompressedSweep(blocked, opt).run();
+  return Sweep(blocked, opt).run();
 }
 
 }  // namespace blk::model

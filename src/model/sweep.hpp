@@ -1,28 +1,20 @@
 // Empirical refiner for the blocking-factor choice.
 //
-// Two execution strategies:
+// Each candidate's trace is obtained once — synthesized analytically when
+// the program's access pattern is affine (one RUNA op per inner loop
+// instance, megabytes where raw records are gigabytes), or recorded
+// through the VM into the compressed encoder otherwise — and kept in a
+// process-wide TraceStore keyed by (program, params, ks, seed, sampling).
+// Replays run sharded across the worker pool with a deterministic merge,
+// so re-tuning against a different cache geometry never re-executes the
+// program.  Structural sampling (every k-th block instance) is validated
+// against a full replay of one probe candidate and falls back to full
+// tracing when the sampled L1 miss ratio disagrees beyond
+// `sample_tolerance`.
 //
-//  - TraceFormat::Compressed (default): the production trace pipeline.
-//    Each candidate's trace is obtained once — synthesized analytically
-//    when the program's access pattern is affine (one RUNA op per inner
-//    loop instance, megabytes where raw records are gigabytes), or
-//    recorded through the VM into the compressed encoder otherwise — and
-//    kept in a process-wide TraceStore keyed by (program, params, ks,
-//    seed, sampling).  Replays run sharded across the worker pool with a
-//    deterministic merge, so re-tuning against a different cache geometry
-//    never re-executes the program.  Structural sampling (every k-th
-//    block instance) is validated against a full replay of one probe
-//    candidate and falls back to full tracing when the sampled L1 miss
-//    ratio disagrees beyond `sample_tolerance`.
-//
-//  - TraceFormat::Raw: the original in-memory path — run the blocked
-//    program once per candidate on the bytecode VM (compiled exactly
-//    once; KS lives in a runtime scalar slot) and feed raw TraceRecord
-//    batches to per-worker cachesim instances.
-//
-// Either way the candidate with the lowest L1 miss ratio (or AMAT, when
-// per-level latencies are supplied) wins, and results are bit-identical
-// at any worker count.
+// The candidate with the lowest L1 miss ratio (or AMAT, when per-level
+// latencies are supplied) wins, and results are bit-identical at any
+// worker count.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +27,6 @@
 
 namespace blk::model {
 
-enum class TraceFormat {
-  Raw,         ///< uncompressed in-memory records, VM re-run per candidate
-  Compressed,  ///< record-once/replay-many compressed traces (default)
-};
-
 struct SweepOptions {
   std::vector<long> candidates;   ///< ks values to measure, ascending
   std::string ks_scalar = "KS";   ///< runtime scalar holding the factor
@@ -48,9 +35,6 @@ struct SweepOptions {
   std::vector<double> latencies;  ///< num_levels+1 entries switch to AMAT
   unsigned workers = 0;           ///< 0: hardware concurrency (capped)
   std::uint64_t seed = 42;
-  std::size_t max_in_flight = 3;  ///< Raw path: traces buffered ahead
-
-  TraceFormat trace_format = TraceFormat::Compressed;
   /// Keep every `sample_every`-th instance of the depth-`sample_depth`
   /// loops (1 = full trace).  Only honoured when the program is trace-
   /// synthesizable; validated against a full replay before use.
@@ -75,7 +59,7 @@ struct CandidateResult {
   double metric = 0.0;
   std::uint64_t trace_len = 0;   ///< records replayed (sampled if sampling)
   bool synthesized = false;      ///< trace from the affine synthesizer
-  double compression = 0.0;      ///< raw bytes / encoded bytes (0 for Raw)
+  double compression = 0.0;      ///< raw bytes / encoded bytes
 };
 
 struct SweepResult {
@@ -83,8 +67,7 @@ struct SweepResult {
   std::size_t best_index = 0;         ///< argmin of metric
   std::string metric_name;            ///< "miss_ratio" or "amat"
 
-  // Trace-pipeline evidence (Compressed path only).
-  bool compressed = false;         ///< trace pipeline used
+  // Trace-pipeline evidence.
   long sample_every = 1;           ///< effective stride after validation
   bool sample_validated = false;   ///< a sampled-vs-full probe ran
   double sample_delta = 0.0;       ///< probe |sampled - full| L1 miss ratio

@@ -230,15 +230,12 @@ model::BlockChoice& step_selectblock(PipelineContext& ctx,
       sopt.latencies = machine.latencies;
       sopt.workers = opt.workers;
       sopt.seed = opt.seed;
-      sopt.trace_format = opt.raw_traces ? model::TraceFormat::Raw
-                                         : model::TraceFormat::Compressed;
       sopt.sample_every = opt.sample_every;
       sopt.sample_tolerance = opt.sample_tolerance;
       model::SweepResult sw = model::sweep_block_sizes(clone, sopt);
 
       choice.swept = true;
       choice.metric_name = sw.metric_name;
-      choice.compressed_traces = sw.compressed;
       choice.traces_synthesized =
           !sw.rows.empty() && sw.rows.front().synthesized;
       choice.sample_every = sw.sample_every;

@@ -46,7 +46,6 @@ struct SelectBlockOptions {
   bool grid = false;       ///< also sweep a coverage grid for evidence
   unsigned workers = 0;    ///< simulator threads (0: auto)
   std::uint64_t seed = 42;
-  bool raw_traces = false; ///< legacy raw path (no trace pipeline)
   long sample_every = 1;   ///< trace sampling stride (1 = full traces)
   double sample_tolerance = 0.02;  ///< sampled-vs-full miss-ratio bound
 };

@@ -357,9 +357,6 @@ Registry::Registry() {
                     .doc = "simulator threads (default: auto)"},
                    {.name = "seed", .kind = OptKind::Int,
                     .doc = "input seed for the sweep (default 42)"},
-                   {.name = "rawtrace", .kind = OptKind::Flag,
-                    .doc = "legacy raw in-memory traces instead of the "
-                           "compressed record-once/replay-many pipeline"},
                    {.name = "sample", .kind = OptKind::Int,
                     .doc = "replay every k-th block instance (validated "
                            "against a full replay; default 1 = full)"},
@@ -375,7 +372,6 @@ Registry::Registry() {
          opt.grid = inv.flag("grid");
          opt.workers = static_cast<unsigned>(inv.int_or("workers", 0));
          opt.seed = static_cast<std::uint64_t>(inv.int_or("seed", 42));
-         opt.raw_traces = inv.flag("rawtrace");
          opt.sample_every = inv.int_or("sample", 1);
          opt.sample_tolerance =
              static_cast<double>(inv.int_or("sampletol", 200)) / 10000.0;

@@ -135,7 +135,7 @@ class TraceEncoder {
 
   [[nodiscard]] std::uint64_t records() const { return appended_; }
 
-  /// TraceBuffer::SinkFn adapter: pass (encoder pointer, &sink) as the
+  /// TraceBuffer flush sink: pass (encoder pointer, &sink) as the
   /// buffer's (ctx, fn) to record a VM execution straight into the
   /// encoder with no per-access indirection beyond one flush call.
   static void sink(void* ctx, std::span<const interp::TraceRecord> recs) {

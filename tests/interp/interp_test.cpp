@@ -187,8 +187,10 @@ TEST(Interp, UndeclaredNamesThrow) {
 TEST(Interp, TraceSeesEveryArrayAccess) {
   Program p = triangular_sum();
   Interpreter in(p, {{"N", 6}});
+  TraceBuffer tb;
+  in.run(&tb);
   std::uint64_t reads = 0, writes = 0;
-  in.run([&](std::uint64_t, bool w) { (w ? writes : reads) += 1; });
+  for (const TraceRecord& r : tb.records()) (r.is_write ? writes : reads) += 1;
   // Per iteration: read S(I), read A(J), write S(I): 21 iterations.
   EXPECT_EQ(reads, 42u);
   EXPECT_EQ(writes, 21u);
@@ -197,8 +199,10 @@ TEST(Interp, TraceSeesEveryArrayAccess) {
 TEST(Interp, DistinctArraysGetDistinctAddressRanges) {
   Program p = triangular_sum();
   Interpreter in(p, {{"N", 8}});
+  TraceBuffer tb;
+  in.run(&tb);
   std::set<std::uint64_t> addrs;
-  in.run([&](std::uint64_t a, bool) { addrs.insert(a); });
+  for (const TraceRecord& r : tb.records()) addrs.insert(r.addr);
   // 8 elements of S + 8 of A touched, at 16 distinct addresses.
   EXPECT_EQ(addrs.size(), 16u);
 }

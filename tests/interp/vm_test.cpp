@@ -328,39 +328,25 @@ TEST(VmEdge, ZeroStepThrowsOnBothEngines) {
 
 // ---- Facade and buffer ------------------------------------------------------
 
-TEST(ExecEngineFacade, LegacyCallbackMatchesBufferedTrace) {
-  Program p = kernels::lu_point_ir();
-  ExecEngine vm(p, {{"N", 10}}, Engine::Vm);
-  seed_store(vm.store(), 2);
-  TraceBuffer buffered;
-  vm.run(buffered);
-  ExecEngine vm2(p, {{"N", 10}}, Engine::Vm);
-  seed_store(vm2.store(), 2);
-  std::vector<TraceRecord> via_callback;
-  vm2.run([&](std::uint64_t addr, bool w) {
-    via_callback.push_back({addr, w});
-  });
-  ASSERT_EQ(buffered.size(), via_callback.size());
-  EXPECT_TRUE(std::equal(via_callback.begin(), via_callback.end(),
-                         buffered.records().begin()));
-}
-
 TEST(TraceBufferStreaming, FlushesBatchesWithoutLosingRecords) {
-  std::vector<TraceRecord> seen;
-  std::size_t batches = 0;
-  TraceBuffer buf(16, [&](std::span<const TraceRecord> recs) {
-    ++batches;
+  struct Seen {
+    std::vector<TraceRecord> recs;
+    std::size_t batches = 0;
+  } seen;
+  TraceBuffer buf(16, &seen, [](void* ctx, std::span<const TraceRecord> recs) {
+    Seen& s = *static_cast<Seen*>(ctx);
+    ++s.batches;
     EXPECT_LE(recs.size(), 16u);
-    seen.insert(seen.end(), recs.begin(), recs.end());
+    s.recs.insert(s.recs.end(), recs.begin(), recs.end());
   });
   for (std::uint64_t i = 0; i < 100; ++i)
     buf.append(i * 8, (i % 3) == 0);
   buf.flush();
-  ASSERT_EQ(seen.size(), 100u);
-  EXPECT_GE(batches, 6u);
+  ASSERT_EQ(seen.recs.size(), 100u);
+  EXPECT_GE(seen.batches, 6u);
   for (std::uint64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(seen[i].addr, i * 8);
-    EXPECT_EQ(seen[i].is_write, (i % 3) == 0);
+    EXPECT_EQ(seen.recs[i].addr, i * 8);
+    EXPECT_EQ(seen.recs[i].is_write, (i % 3) == 0);
   }
 }
 

@@ -94,31 +94,3 @@ TEST(Lu, DerivedMatchesPointBitwiseOnBlockColumns) {
 
 }  // namespace
 }  // namespace blk::kernels
-
-namespace blk::kernels {
-namespace {
-
-TEST(LuParallel, MatchesSerialOptExactly) {
-  // Column updates are independent, so the parallel trailing update must
-  // produce bitwise-identical factors.
-  for (std::size_t n : {33u, 100u}) {
-    for (std::size_t ks : {8u, 32u}) {
-      Matrix a0 = random_diag_dominant(n, 57);
-      Matrix s = a0, par = a0;
-      lu_block_opt(s, ks);
-      lu_block_opt_parallel(par, ks);
-      EXPECT_EQ(max_abs_diff(s, par), 0.0) << "n=" << n << " ks=" << ks;
-    }
-  }
-}
-
-TEST(LuParallel, ResidualHolds) {
-  const std::size_t n = 80;
-  Matrix a0 = random_diag_dominant(n, 58);
-  Matrix f = a0;
-  lu_block_opt_parallel(f, 16);
-  EXPECT_LE(lu_residual(f, a0), 1e-12 * static_cast<double>(n));
-}
-
-}  // namespace
-}  // namespace blk::kernels

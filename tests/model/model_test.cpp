@@ -1,10 +1,11 @@
 // Machine-model tests: cache-geometry parsing, the analytic working-set
-// model, the empirical sweep (one compilation, per-worker simulators), and
-// the selectblock pass end to end.
+// model, the empirical sweep (checked against direct simulation), and the
+// selectblock pass end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "interp/vm.hpp"
 #include "ir/builder.hpp"
 #include "ir/error.hpp"
 #include "kernels/ir_kernels.hpp"
@@ -177,35 +178,64 @@ TEST(Sweep, SameTraceLengthDifferentLocality) {
   EXPECT_NE(r.rows[0].levels[0].misses, r.rows[1].levels[0].misses);
 }
 
-TEST(Sweep, RawAndCompressedAgreeExactly) {
-  // Both strategies see the same record stream; single-shard traces are
-  // replayed exactly, so the per-candidate stats must match field for
-  // field (not just the argmin).
-  Program prog = blocked_lu();
+/// The oracle: run each candidate on its own VM into a retained buffer and
+/// simulate the records directly.  Probe-sized traces replay as a single
+/// shard, so every sweep row must match field for field — whether its
+/// trace was synthesized from the IR or recorded through the VM.
+SweepResult expect_sweep_matches_direct_simulation(const Program& prog,
+                                                   const SweepOptions& opt,
+                                                   bool synthesized) {
+  SweepResult r = sweep_block_sizes(prog, opt);
+  EXPECT_EQ(r.rows.size(), opt.candidates.size());
+  for (std::size_t i = 0; i < r.rows.size(); ++i) {
+    const CandidateResult& row = r.rows[i];
+    SCOPED_TRACE("ks=" + std::to_string(opt.candidates[i]));
+    interp::ExecEngine eng(prog, opt.probe_params, interp::Engine::Vm);
+    interp::seed_store(eng.store(), opt.seed);
+    for (auto& [name, value] : eng.store().scalars) value = 0.0;
+    eng.store().scalars[opt.ks_scalar] =
+        static_cast<double>(opt.candidates[i]);
+    interp::TraceBuffer tb;
+    eng.run(tb);
+    cachesim::Hierarchy h(opt.levels);
+    h.simulate(tb.records());
+
+    EXPECT_EQ(row.ks, opt.candidates[i]);
+    EXPECT_EQ(row.synthesized, synthesized);
+    EXPECT_EQ(row.trace_len, tb.size());
+    EXPECT_EQ(row.levels.size(), h.num_levels());
+    for (std::size_t l = 0; l < row.levels.size() && l < h.num_levels(); ++l)
+      EXPECT_EQ(row.levels[l], h.stats(l)) << "level " << l;
+    EXPECT_EQ(row.metric, h.stats(0).miss_ratio());
+  }
+  return r;
+}
+
+TEST(Sweep, MatchesDirectSimulationExactly) {
   SweepOptions opt;
   opt.candidates = {4, 8, 16};
-  opt.probe_params = {{"N", 48}};
-  opt.levels = {parse_cache_config("4K/64B/2")};
-  trace::TraceStore store;  // private store: no cross-test interference
-  opt.store = &store;
-
-  opt.trace_format = TraceFormat::Raw;
-  SweepResult raw = sweep_block_sizes(prog, opt);
-  opt.trace_format = TraceFormat::Compressed;
-  SweepResult comp = sweep_block_sizes(prog, opt);
-
-  EXPECT_FALSE(raw.compressed);
-  EXPECT_TRUE(comp.compressed);
-  ASSERT_EQ(comp.rows.size(), raw.rows.size());
-  for (std::size_t i = 0; i < raw.rows.size(); ++i) {
-    EXPECT_EQ(comp.rows[i].trace_len, raw.rows[i].trace_len);
-    EXPECT_EQ(comp.rows[i].levels[0], raw.rows[i].levels[0]);
-    EXPECT_DOUBLE_EQ(comp.rows[i].metric, raw.rows[i].metric);
-    EXPECT_TRUE(comp.rows[i].synthesized);
-    EXPECT_GT(comp.rows[i].compression, 10.0)
-        << "blocked LU should compress well past 10x";
+  opt.levels = {parse_cache_config("4K/64B/2"),
+                parse_cache_config("16K/64B/4")};
+  {
+    SCOPED_TRACE("synthesized: blocked LU");
+    trace::TraceStore store;  // private store: no cross-test interference
+    opt.store = &store;
+    opt.probe_params = {{"N", 48}};
+    const SweepResult r =
+        expect_sweep_matches_direct_simulation(blocked_lu(), opt, true);
+    for (const CandidateResult& row : r.rows)
+      EXPECT_GT(row.compression, 10.0)
+          << "blocked LU should compress well past 10x";
   }
-  EXPECT_EQ(comp.best_index, raw.best_index);
+  {
+    SCOPED_TRACE("recorded: IF-guarded matmul");
+    Program prog = kernels::matmul_guarded_ir();
+    prog.scalar("KS");  // unused by the kernel; satisfies the contract
+    trace::TraceStore store;
+    opt.store = &store;
+    opt.probe_params = {{"N", 24}};
+    expect_sweep_matches_direct_simulation(prog, opt, false);
+  }
 }
 
 TEST(Sweep, RecordOnceReplayManyThroughTheStore) {

@@ -115,7 +115,7 @@ TEST(NativeEngine, TracedRunThrowsAndStatementCountIsZero) {
   ir::Program p = kernels::lu_point_ir();
   interp::ExecEngine e(p, {{"N", 9}}, interp::Engine::Native);
   test::seed_inputs(e, 1, {{"A", 9.0}});
-  interp::TraceBuffer tb(1024, [](std::span<const interp::TraceRecord>) {});
+  interp::TraceBuffer tb;
   EXPECT_THROW(e.run(tb), Error);
   e.run();
   EXPECT_EQ(e.statements_executed(), 0u)

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "interp/interp.hpp"
@@ -22,6 +24,9 @@
 #include "kernels/ir_kernels.hpp"
 #include "native/engine.hpp"
 #include "native/jit.hpp"
+#include "pm/pass.hpp"
+#include "pm/runner.hpp"
+#include "pm/spec.hpp"
 #include "testutil.hpp"
 
 namespace blk::native {
@@ -102,18 +107,20 @@ ParallelOptions plan_for(const std::string& var, int threads,
   return po;
 }
 
-/// Run `p` serially and with `plan`, identically seeded; return both
-/// engines for store comparison.
+/// Run `p` serially and with `plan`, identically seeded (arrays named in
+/// `diag_boost` get that added to their diagonal); return both engines for
+/// store comparison.
 void run_pair(const ir::Program& p, const ir::Env& env,
               const ParallelOptions& plan, std::uint64_t seed,
               interp::Store** serial_out, interp::Store** par_out,
-              std::vector<interp::ExecEngine>& keep) {
+              std::vector<interp::ExecEngine>& keep,
+              const std::map<std::string, double>& diag_boost = {}) {
   keep.emplace_back(p, env, interp::Engine::Native);
   keep.emplace_back(p, env, interp::Engine::Native, &plan);
   interp::ExecEngine& ser = keep[keep.size() - 2];
   interp::ExecEngine& par = keep[keep.size() - 1];
-  test::seed_inputs(ser, seed);
-  test::seed_inputs(par, seed);
+  test::seed_inputs(ser, seed, diag_boost);
+  test::seed_inputs(par, seed, diag_boost);
   ser.run();
   par.run();
   *serial_out = &ser.store();
@@ -215,6 +222,37 @@ TEST(NativeParallel, ZeroTripLoopIsSafe) {
   par.store().scalars.at("S") = 42.0;
   par.run();
   EXPECT_EQ(par.store().scalars.at("S"), 42.0);
+}
+
+TEST(NativeParallel, CertifiedBlockedLuBitIdenticalToSerial) {
+  if (!available()) GTEST_SKIP() << "no host C toolchain";
+  // §5.1's parallel trailing update on derived code: autoblock exposes
+  // the update J loops, parallelize(check) certifies them (its race
+  // re-check throws on any disagreement), and the plan drives the pool.
+  Program p = kernels::lu_point_ir();
+  p.param("KS");
+  analysis::Assumptions hints;
+  pm::add_fact(hints, "K+KS-1<=N-1");
+  pm::PipelineContext ctx(p, std::move(hints));
+  (void)pm::run_pipeline(
+      pm::parse_pipeline("autoblock(b=KS); parallelize(check)"), ctx);
+  ASSERT_TRUE(ctx.parallel && ctx.parallel->enabled())
+      << "no certified parallel loop in blocked LU";
+  for (const auto& [n, ks] : {std::pair{33L, 8L}, std::pair{100L, 32L}}) {
+    for (int nt : {1, 2, 4}) {
+      ParallelOptions plan = *ctx.parallel;
+      plan.threads = nt;
+      std::vector<interp::ExecEngine> keep;
+      keep.reserve(2);
+      interp::Store* ser = nullptr;
+      interp::Store* par = nullptr;
+      run_pair(p, {{"N", n}, {"KS", ks}}, plan, 57, &ser, &par, keep,
+               {{"A", static_cast<double>(n)}});
+      SCOPED_TRACE("N=" + std::to_string(n) + " KS=" + std::to_string(ks) +
+                   " threads=" + std::to_string(nt));
+      expect_bitwise_equal(*ser, *par);
+    }
+  }
 }
 
 TEST(NativeParallel, SerialAndParallelVariantsCoexistInCache) {

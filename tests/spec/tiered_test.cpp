@@ -224,7 +224,7 @@ TEST_F(Tiered, AsyncPromotionDrainsAndServesNative) {
 TEST_F(Tiered, TracedRunThrows) {
   ir::Program p = kernels::lu_point_ir();
   ExecEngine e(p, {{"N", 9}}, Engine::Tiered);
-  TraceBuffer tb(1024, [](std::span<const TraceRecord>) {});
+  TraceBuffer tb;
   EXPECT_THROW(e.run(tb), Error);
 }
 

@@ -31,9 +31,6 @@
 //   --tolerance PCT      --auto-b acceptance band in percent (default 10)
 //   --model_json PATH    write the BlockChoice record (analytic prediction
 //                        plus measured sweep) as JSON
-//   --trace-format FMT   sweep trace strategy: "compressed" (default;
-//                        record-once/replay-many with sharded replay) or
-//                        "raw" (legacy in-memory records)
 //   --sample K           replay every K-th block instance in the sweep
 //                        (validated against a full replay, falls back
 //                        automatically; default 1 = full traces)
@@ -363,7 +360,6 @@ int main(int argc, char** argv) {
   long probe = 0;
   double tolerance = 0.10;
   std::string model_json_path;
-  std::string trace_format;  // "", "raw" or "compressed"
   long sample_every = 1;
   long sweep_workers = 0;
   bool parallel = false;
@@ -442,12 +438,6 @@ int main(int argc, char** argv) {
         tolerance = std::stod(need_value("--tolerance")) / 100.0;
       } else if (arg == "--model_json") {
         model_json_path = need_value("--model_json");
-      } else if (arg == "--trace-format") {
-        trace_format = need_value("--trace-format");
-        if (trace_format != "raw" && trace_format != "compressed") {
-          std::cerr << "blk-opt: --trace-format wants raw or compressed\n";
-          return 2;
-        }
       } else if (arg == "--sample") {
         sample_every = std::stol(need_value("--sample"));
         if (sample_every < 1) {
@@ -480,8 +470,8 @@ int main(int argc, char** argv) {
                      "[--latency L1,..,MEM]\n"
                      "               [--probe N] [--tolerance PCT] "
                      "[--model_json PATH]\n"
-                     "               [--trace-format raw|compressed] "
-                     "[--sample K] [--sweep-workers N] [file.f]\n"
+                     "               [--sample K] [--sweep-workers N] "
+                     "[file.f]\n"
                      "       blk-opt -p SPEC --engine=native --parallel "
                      "[--threads N] [--check ...]...\n"
                      "       blk-opt --print-registry\n";
@@ -526,7 +516,6 @@ int main(int argc, char** argv) {
     // The canonical §6 pipeline: model-chosen KS through the §5.1 driver.
     spec = "selectblock(grid";
     if (probe > 0) spec += ", probe=" + std::to_string(probe);
-    if (trace_format == "raw") spec += ", rawtrace";
     if (sample_every > 1)
       spec += ", sample=" + std::to_string(sample_every);
     if (sweep_workers > 0)
