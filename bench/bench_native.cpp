@@ -2,9 +2,7 @@
 // bytecode VM across the paper's kernels — point and auto-blocked LU
 // (§5.1), pivoted LU through the declarative pipeline (§5.2), Givens QR
 // (§5.4), and convolution (§4) — at sizes the VM cannot reach interactively.
-// The JIT must clear 20x over the VM on point LU, and the blocked-vs-point
-// ratio on the native engine should keep the paper's shape (blocking is
-// roughly neutral before unroll-and-jam).
+// The JIT must clear 20x over the VM on point LU.
 //
 // Writes machine-readable results (BENCH_native.json by default, override
 // with --bench_json=<path>), including the native engine's compile/cache
@@ -184,25 +182,6 @@ int main(int argc, char** argv) {
     }
   }
   t.print("A5: bytecode VM vs native JIT (target >=20x on point LU)");
-
-  // The paper's shape on real hardware: blocked vs point on the native
-  // engine (roughly neutral at these sizes without unroll-and-jam).
-  blk::bench::Table shape({"Pair", "N", "Point", "Blocked", "Ratio"});
-  const std::pair<const char*, const char*> pairs[] = {
-      {"lu_point", "lu_blocked"},
-      {"lu_pivot_point", "lu_pivot_blocked"},
-      {"givens_point", "givens_opt"}};
-  for (auto [pt, blk_name] : pairs) {
-    for (long n : kSizes) {
-      const std::string sfx = "/" + std::to_string(n);
-      double p = rep.get(std::string(pt) + "/native" + sfx);
-      double b = rep.get(std::string(blk_name) + "/native" + sfx);
-      shape.row({std::string(pt) + " vs " + blk_name, std::to_string(n),
-                 blk::bench::fmt_time(p), blk::bench::fmt_time(b),
-                 blk::bench::fmt_speedup(p, b)});
-    }
-  }
-  shape.print("Blocked vs point on the native engine");
 
   jw.extra("native", blk::native::stats_json());
   if (jw.write()) std::printf("\nwrote %s\n", json.c_str());

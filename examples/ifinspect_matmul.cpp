@@ -77,9 +77,8 @@ int main() {
     kernels::Matrix b = kernels::make_guard_matrix(nn, 0.1, run, 5);
     kernels::Matrix c(nn, nn);
     double t_orig = time([&] { kernels::matmul_guarded(a, b, c); });
-    double t_uj =
-        time([&] { kernels::matmul_uj_guard_inside(a, b, c, 4); });
-    double t_ujif = time([&] { kernels::matmul_uj_ifinspect(a, b, c, 4); });
+    double t_uj = time([&] { kernels::matmul_uj_guard_inside(a, b, c); });
+    double t_ujif = time([&] { kernels::matmul_uj_ifinspect(a, b, c); });
     std::printf("10%% nonzero, run length %zu: original %.1fms, "
                 "guard-inside UJ %.1fms, UJ+IF %.1fms\n",
                 run, t_orig * 50, t_uj * 50, t_ujif * 50);

@@ -45,6 +45,20 @@ namespace blk::kernels {
 ///       A(I,J) = A(I,J) - A(I,K)*A(K,J)             ! 10
 [[nodiscard]] ir::Program lu_point_ir();
 
+/// §5.1's hand-coded block algorithm "1" (Sorensen's version), the one LU
+/// variant the compiler cannot derive: factor each KS-wide panel with the
+/// point algorithm, then apply the panel's eliminations to every trailing
+/// column in turn.  Performs the point algorithm's operations per element
+/// in the same order, so its factors equal lu_point_ir's bitwise.
+///   DO KB = 1,N-1,KS
+///     DO KK = KB,MIN(KB+KS-1,N-1)
+///       DO I = KK+1,N / A(I,KK) = A(I,KK)/A(KK,KK)   ! 20
+///       DO J = KK+1,MIN(KB+KS-1,N-1) / DO I = KK+1,N
+///         A(I,J) = A(I,J) - A(I,KK)*A(KK,J)         ! 10
+///     DO J = MIN(KB+KS-1,N-1)+1,N / DO KK = KB,MIN(KB+KS-1,N-1)
+///       DO I = KK+1,N / A(I,J) = A(I,J) - A(I,KK)*A(KK,J)  ! 10
+[[nodiscard]] ir::Program lu_sorensen_ir();
+
 /// §5.2 LU decomposition with partial pivoting (Fig. 7).  The pivot search
 /// writes the integer scalar IMAX; the row-interchange loop is statements
 /// 25/30; the elimination is the same 20/10 pair as lu_point_ir.

@@ -37,8 +37,8 @@ void matmul_guarded(const Matrix& a, const Matrix& b, Matrix& c) {
   }
 }
 
-void matmul_uj_guard_inside(const Matrix& a, const Matrix& b, Matrix& c,
-                            std::size_t uf) {
+void matmul_uj_guard_inside(const Matrix& a, const Matrix& b, Matrix& c) {
+  constexpr std::size_t uf = 4;
   const std::size_t n = a.rows();
   for (std::size_t j = 0; j < n; ++j) {
     double* cj = c.col(j);
@@ -65,11 +65,8 @@ void matmul_uj_guard_inside(const Matrix& a, const Matrix& b, Matrix& c,
   }
 }
 
-void matmul_uj_ifinspect(const Matrix& a, const Matrix& b, Matrix& c,
-                         std::size_t uf) {
-  if (uf != 4)
-    throw Error("matmul_uj_ifinspect: only the unroll factor 4 kernel is "
-                "instantiated");
+void matmul_uj_ifinspect(const Matrix& a, const Matrix& b, Matrix& c) {
+  constexpr std::size_t uf = 4;
   const std::size_t n = a.rows();
   std::vector<std::size_t> klb(n + 1), kub(n + 1);
   for (std::size_t j = 0; j < n; ++j) {

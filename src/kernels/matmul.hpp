@@ -21,14 +21,12 @@ namespace blk::kernels {
 /// only for nonzero B(K,J).
 void matmul_guarded(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// Unroll-and-jam of K by `uf` with the guard replicated inside the
-/// innermost loop — correct but slow (the paper's "UJ" column).
-void matmul_uj_guard_inside(const Matrix& a, const Matrix& b, Matrix& c,
-                            std::size_t uf = 4);
+/// Unroll-and-jam of K by 4 with the guard replicated inside the innermost
+/// loop — correct but slow (the paper's "UJ" column).
+void matmul_uj_guard_inside(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// IF-inspection of the K loop, then unroll-and-jam by `uf` inside each
+/// IF-inspection of the K loop, then unroll-and-jam by 4 inside each
 /// recorded range with no guards (the paper's "UJ+IF" column).
-void matmul_uj_ifinspect(const Matrix& a, const Matrix& b, Matrix& c,
-                         std::size_t uf = 4);
+void matmul_uj_ifinspect(const Matrix& a, const Matrix& b, Matrix& c);
 
 }  // namespace blk::kernels

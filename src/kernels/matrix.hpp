@@ -52,15 +52,6 @@ inline void fill_random(Matrix& m, std::uint64_t seed, double lo = -1.0,
   for (double& x : m.flat()) x = dist(rng);
 }
 
-/// Random matrix made strongly diagonally dominant (safe for unpivoted LU).
-inline Matrix random_diag_dominant(std::size_t n, std::uint64_t seed) {
-  Matrix m(n, n);
-  fill_random(m, seed);
-  for (std::size_t i = 0; i < n; ++i)
-    m(i, i) += static_cast<double>(n);
-  return m;
-}
-
 /// Max |a-b| over all elements; matrices must agree in shape.
 inline double max_abs_diff(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols())

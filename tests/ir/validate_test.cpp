@@ -19,7 +19,8 @@ TEST(Validate, AllKernelFactoriesAreWellFormed) {
       blk::kernels::lu_point_ir,       blk::kernels::lu_pivot_point_ir,
       blk::kernels::givens_qr_ir,      blk::kernels::matmul_guarded_ir,
       blk::kernels::conv_ir,           blk::kernels::aconv_ir,
-      blk::kernels::sum_example_ir,    blk::kernels::partial_recurrence_ir};
+      blk::kernels::sum_example_ir,    blk::kernels::partial_recurrence_ir,
+      blk::kernels::lu_sorensen_ir};
   for (Factory f : factories) {
     Program p = f();
     EXPECT_TRUE(validate(p).empty());

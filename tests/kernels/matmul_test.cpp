@@ -109,10 +109,5 @@ TEST(GuardedMatmul, RemainderColumnsHandled) {
   }
 }
 
-TEST(GuardedMatmul, IfInspectRejectsUnsupportedUnroll) {
-  Matrix a(4, 4), b(4, 4), c(4, 4);
-  EXPECT_THROW(matmul_uj_ifinspect(a, b, c, 2), Error);
-}
-
 }  // namespace
 }  // namespace blk::kernels

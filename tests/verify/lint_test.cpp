@@ -30,7 +30,8 @@ TEST(Lint, KernelFactoriesLintClean) {
   const Factory factories[] = {
       blk::kernels::lu_point_ir, blk::kernels::lu_pivot_point_ir,
       blk::kernels::givens_qr_ir, blk::kernels::matmul_guarded_ir,
-      blk::kernels::conv_ir, blk::kernels::aconv_ir};
+      blk::kernels::conv_ir, blk::kernels::aconv_ir,
+      blk::kernels::lu_sorensen_ir};
   for (Factory f : factories) {
     Program p = f();
     Report r = lint(p);
