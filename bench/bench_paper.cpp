@@ -211,8 +211,8 @@ Derived& derive(const Variant& v, const std::vector<std::string>& facts) {
     (void)pm::run_spec(p, v.spec, hints);
     if (!vp.ok()) throw Error("verification failed:\n" + vp.to_string());
   }
-  auto kernel = std::make_unique<native::Kernel>(p, "blk_kernel", nullptr,
-                                                 nullptr, nullptr, "", 3);
+  auto kernel =
+      std::make_unique<native::Kernel>(p, "blk_kernel", nullptr, nullptr, 3);
   return memo[key] = Derived{std::move(p), std::move(kernel)};
 }
 

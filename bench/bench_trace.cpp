@@ -1,4 +1,4 @@
-// Trace-pipeline benchmarks (the evidence behind DESIGN.md §16):
+// Trace-pipeline benchmarks (the evidence behind DESIGN.md §15):
 //
 //   1. sink dispatch   — TraceBuffer's fn-pointer flush sink
 //                        (google-benchmark).

@@ -141,8 +141,6 @@ enum class Engine : std::uint8_t {
   TreeWalker,  ///< reference semantics (src/interp/interp.*)
   Vm,          ///< compiled bytecode (default)
   Native,      ///< JIT through the C backend (src/native/)
-  Tiered,      ///< adaptive: profiling VM -> guarded specialized native
-               ///< (src/interp/tiered.*)
 };
 
 /// Run `p` under `params` with inputs seeded by `seed`; returns the store.

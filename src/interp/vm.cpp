@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "interp/tiered.hpp"
 #include "ir/error.hpp"
 #include "native/engine.hpp"
 
@@ -317,9 +316,8 @@ Engine parse_engine(std::string_view name) {
   if (name == "tree" || name == "treewalker") return Engine::TreeWalker;
   if (name == "vm") return Engine::Vm;
   if (name == "native") return Engine::Native;
-  if (name == "tiered") return Engine::Tiered;
   throw Error("unknown engine '" + std::string(name) +
-              "' (expected tree, vm, native or tiered)");
+              "' (expected tree, vm or native)");
 }
 
 const char* to_string(Engine e) {
@@ -327,7 +325,6 @@ const char* to_string(Engine e) {
     case Engine::TreeWalker: return "tree";
     case Engine::Vm: return "vm";
     case Engine::Native: return "native";
-    case Engine::Tiered: return "tiered";
   }
   return "?";
 }
@@ -381,8 +378,7 @@ class NativeRunner {
 };
 
 ExecEngine::ExecEngine(const ir::Program& program, ir::Env params,
-                       Engine engine, const ir::ParallelOptions* parallel,
-                       const TieredOptions* tiered) {
+                       Engine engine, const ir::ParallelOptions* parallel) {
   engine_ = engine;
   if (engine_ == Engine::Native && !native::available())
     engine_ = Engine::Vm;  // fallback policy: no toolchain -> VM
@@ -397,13 +393,6 @@ ExecEngine::ExecEngine(const ir::Program& program, ir::Env params,
       nat_ = std::make_unique<NativeRunner>(program, std::move(params),
                                             parallel);
       break;
-    case Engine::Tiered:
-      // No toolchain fallback here: the runner profiles on the VM and
-      // simply never leaves it when no native backend exists.
-      tiered_ = std::make_unique<TieredRunner>(
-          program, std::move(params),
-          tiered ? *tiered : TieredOptions{});
-      break;
   }
 }
 
@@ -414,19 +403,16 @@ ExecEngine& ExecEngine::operator=(ExecEngine&&) noexcept = default;
 Store& ExecEngine::store() {
   if (tw_) return tw_->store();
   if (vm_) return vm_->store();
-  if (tiered_) return tiered_->store();
   return nat_->store();
 }
 const Store& ExecEngine::store() const {
   if (tw_) return tw_->store();
   if (vm_) return vm_->store();
-  if (tiered_) return tiered_->store();
   return nat_->store();
 }
 const ir::Env& ExecEngine::params() const {
   if (tw_) return tw_->params();
   if (vm_) return vm_->params();
-  if (tiered_) return tiered_->params();
   return nat_->params();
 }
 
@@ -435,17 +421,14 @@ void ExecEngine::run() {
     tw_->run();
   else if (vm_)
     vm_->run();
-  else if (tiered_)
-    tiered_->run();
   else
     nat_->run();
 }
 
 void ExecEngine::run(TraceBuffer& tb) {
-  if (nat_ || tiered_)
-    throw Error(
-        "native/tiered engines do not produce access traces; use "
-        "Engine::Vm");
+  if (nat_)
+    throw Error("the native engine does not produce access traces; use "
+                "Engine::Vm");
   if (tw_)
     tw_->run(&tb);
   else
@@ -455,7 +438,6 @@ void ExecEngine::run(TraceBuffer& tb) {
 std::uint64_t ExecEngine::statements_executed() const {
   if (tw_) return tw_->statements_executed();
   if (vm_) return vm_->statements_executed();
-  if (tiered_) return tiered_->statements_executed();
   return 0;  // the native engine does not count statements
 }
 

@@ -60,14 +60,12 @@ class Vm {
 
 // (the Engine enum lives in interp.hpp so run_seeded can default it)
 
-/// "tree", "vm", "native", "tiered" (the --engine spellings); throws
+/// "tree", "vm", "native" (the --engine spellings); throws
 /// blk::Error on anything else.
 [[nodiscard]] Engine parse_engine(std::string_view name);
 [[nodiscard]] const char* to_string(Engine e);
 
 class NativeRunner;  // vm.cpp: native::Kernel bound to a Store
-class TieredRunner;  // tiered.hpp: adaptive VM -> native promotion
-struct TieredOptions;
 
 /// Uniform front door over the engines.  Construction allocates the
 /// store; callers seed inputs through store() and then run().
@@ -86,12 +84,10 @@ class ExecEngine {
   /// native::Kernel; it is copied, so callers may let theirs die.  The
   /// tree-walker and VM ignore it — they have no threads to give — and
   /// the silent-fallback path therefore runs the plan serially, which is
-  /// semantically identical by construction.  `tiered` (Tiered only)
-  /// overrides the tiering policy; null resolves it from the environment.
+  /// semantically identical by construction.
   ExecEngine(const ir::Program& program, ir::Env params,
              Engine engine = Engine::Vm,
-             const ir::ParallelOptions* parallel = nullptr,
-             const TieredOptions* tiered = nullptr);
+             const ir::ParallelOptions* parallel = nullptr);
   ~ExecEngine();
   ExecEngine(ExecEngine&&) noexcept;
   ExecEngine& operator=(ExecEngine&&) noexcept;
@@ -111,7 +107,6 @@ class ExecEngine {
   std::unique_ptr<Interpreter> tw_;
   std::unique_ptr<Vm> vm_;
   std::unique_ptr<NativeRunner> nat_;
-  std::unique_ptr<TieredRunner> tiered_;
 };
 
 }  // namespace blk::interp

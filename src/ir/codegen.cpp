@@ -583,133 +583,7 @@ void emit_pool(std::ostream& os, int threads) {
         "}\n\n";
 }
 
-/// Renders a guard Term as C over the blk_params block.  Throws on a
-/// parameter name the program does not declare.
-std::string guard_term_c(const GuardOptions::Term& t, const Program& p) {
-  std::ostringstream os;
-  if (t.param.empty()) {
-    os << t.add << 'L';
-    return os.str();
-  }
-  std::size_t idx = 0;
-  for (const auto& prm : p.params()) {
-    if (prm == t.param) {
-      os << "blk_params[" << idx << ']';
-      if (t.add != 0) os << " + " << t.add << 'L';
-      return os.str();
-    }
-    ++idx;
-  }
-  throw Error("emit_c: guard names unknown parameter '" + t.param + "'");
-}
-
-/// Index of array `name` in the program's name-ordered array map (the
-/// blk_arrays slot the entry ABI assigns it).  Throws on unknown names.
-std::size_t guard_array_slot(const std::string& name, const Program& p) {
-  std::size_t idx = 0;
-  for (const auto& [an, decl] : p.arrays()) {
-    if (an == name) return idx;
-    ++idx;
-  }
-  throw Error("emit_c: guard names unknown array '" + name + "'");
-}
-
-std::string guard_term_text(const GuardOptions::Term& t) {
-  std::ostringstream os;
-  if (t.param.empty()) {
-    os << t.add;
-  } else {
-    os << t.param;
-    if (t.add > 0) os << '+' << t.add;
-    if (t.add < 0) os << t.add;
-  }
-  return os.str();
-}
-
-/// Emit the guard function: sequential checks, first failure wins.
-void emit_guards(const Program& p, const std::string& fn_name,
-                 const GuardOptions& g, std::ostream& os) {
-  os << "\nlong " << fn_name
-     << "_guard(const long* blk_params, double* const* blk_arrays) {\n"
-     << "  (void)blk_params; (void)blk_arrays;\n";
-  std::size_t code = 0;
-  for (const auto& eq : g.param_eq) {
-    GuardOptions::Term t{eq.param, 0};
-    os << "  if (!(" << guard_term_c(t, p) << " == " << eq.value
-       << "L)) return " << ++code << "L;\n";
-  }
-  for (const auto& d : g.divides) {
-    const std::string den = guard_term_c(d.divisor, p);
-    const std::string num = guard_term_c(d.dividend, p);
-    os << "  if (!((" << den << ") != 0L && (" << num << ") % (" << den
-       << ") == 0L)) return " << ++code << "L;\n";
-  }
-  for (const auto& r : g.ranges) {
-    GuardOptions::Term t{r.param, 0};
-    const std::string v = guard_term_c(t, p);
-    os << "  if (!(" << r.lo << "L <= " << v << " && " << v
-       << " <= " << r.hi << "L)) return " << ++code << "L;\n";
-  }
-  for (const auto& na : g.noalias) {
-    os << "  if (!(blk_arrays[" << guard_array_slot(na.a, p)
-       << "] != blk_arrays[" << guard_array_slot(na.b, p) << "])) return "
-       << ++code << "L;\n";
-  }
-  os << "  return 0L;\n}\n";
-}
-
 }  // namespace
-
-std::string GuardOptions::summary() const {
-  std::ostringstream os;
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ' ';
-    first = false;
-  };
-  for (const auto& eq : param_eq) {
-    sep();
-    os << eq.param << '=' << eq.value;
-  }
-  for (const auto& d : divides) {
-    sep();
-    os << guard_term_text(d.divisor) << '|' << guard_term_text(d.dividend);
-  }
-  for (const auto& r : ranges) {
-    sep();
-    os << r.lo << "<=" << r.param << "<=" << r.hi;
-  }
-  for (const auto& na : noalias) {
-    sep();
-    os << na.a << "!&" << na.b;
-  }
-  return os.str();
-}
-
-std::string GuardOptions::describe(std::size_t code) const {
-  if (code == 0 || code > size())
-    throw Error("GuardOptions::describe: code out of range");
-  std::size_t i = code - 1;
-  if (i < param_eq.size()) {
-    const auto& eq = param_eq[i];
-    return eq.param + " == " + std::to_string(eq.value);
-  }
-  i -= param_eq.size();
-  if (i < divides.size()) {
-    const auto& d = divides[i];
-    return guard_term_text(d.dividend) + " % " + guard_term_text(d.divisor) +
-           " == 0";
-  }
-  i -= divides.size();
-  if (i < ranges.size()) {
-    const auto& r = ranges[i];
-    return std::to_string(r.lo) + " <= " + r.param +
-           " <= " + std::to_string(r.hi);
-  }
-  i -= ranges.size();
-  const auto& na = noalias[i];
-  return na.a + " !alias " + na.b;
-}
 
 std::string ParallelOptions::summary() const {
   std::ostringstream os;
@@ -740,10 +614,8 @@ std::string emit_c(const Program& p, const std::string& fn_name,
     g_par = &pe;
   }
   std::ostringstream os;
-  const bool guarded = opts.guards && opts.guards->enabled();
   os << "/* generated by blockability emit_c */\n";
   if (par) os << "/* parallel: " << opts.parallel->summary() << " */\n";
-  if (guarded) os << "/* guards: " << opts.guards->summary() << " */\n";
   os << "#include <math.h>\n"
      << "#define BLK_MIN(a, b) ((a) < (b) ? (a) : (b))\n"
      << "#define BLK_MAX(a, b) ((a) > (b) ? (a) : (b))\n"
@@ -856,7 +728,6 @@ std::string emit_c(const Program& p, const std::string& fn_name,
     }
     os << ");\n}\n";
   }
-  if (guarded) emit_guards(p, fn_name, *opts.guards, os);
   g_prog = nullptr;
   g_par = nullptr;
   return os.str();

@@ -53,73 +53,6 @@ struct ParallelOptions {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Entry guards: the runtime checks a specialized kernel's assumptions at
-/// call time.  When EmitOptions::guards is set, emit_c additionally
-/// defines
-///
-///   long <fn_name>_guard(const long* blk_params,
-///                        double* const* blk_arrays);
-///
-/// taking the entry wrapper's first two arguments and returning 0 when
-/// every assumption holds, else the 1-based index of the first failing
-/// guard (an index into describe()).  The guard never touches array
-/// contents — it is O(#guards) per call — and deciding what to do on
-/// failure (fall back to the generic kernel or the VM) is the caller's
-/// job: emitted C cannot re-enter the interpreter.
-struct GuardOptions {
-  /// A small affine term over one parameter: params[param] + add, or the
-  /// constant `add` when param is empty.
-  struct Term {
-    std::string param;
-    long add = 0;
-    [[nodiscard]] bool operator==(const Term&) const = default;
-  };
-  /// params[param] == value.
-  struct ParamEq {
-    std::string param;
-    long value = 0;
-  };
-  /// divisor != 0 && dividend % divisor == 0.
-  struct Divides {
-    Term dividend;
-    Term divisor;
-    [[nodiscard]] bool operator==(const Divides&) const = default;
-  };
-  /// lo <= params[param] <= hi.
-  struct Range {
-    std::string param;
-    long lo = 0;
-    long hi = 0;
-  };
-  /// blk_arrays[a] != blk_arrays[b] (distinct base pointers).
-  struct NoAlias {
-    std::string a;
-    std::string b;
-  };
-
-  std::vector<ParamEq> param_eq;
-  std::vector<Divides> divides;
-  std::vector<Range> ranges;
-  std::vector<NoAlias> noalias;
-
-  [[nodiscard]] bool enabled() const {
-    return !(param_eq.empty() && divides.empty() && ranges.empty() &&
-             noalias.empty());
-  }
-  /// Total guard count; failure codes run 1..size() in the order
-  /// param_eq, divides, ranges, noalias.
-  [[nodiscard]] std::size_t size() const {
-    return param_eq.size() + divides.size() + ranges.size() +
-           noalias.size();
-  }
-  /// One-line rendering stamped into the emitted source header (part of
-  /// the cache-key material alongside the assumption-set hash).
-  [[nodiscard]] std::string summary() const;
-  /// Human-readable text of guard `code` (1-based, as returned by the
-  /// emitted guard function).  Throws on out-of-range codes.
-  [[nodiscard]] std::string describe(std::size_t code) const;
-};
-
 /// Emission knobs for consumers beyond the human-readable default.  The
 /// native JIT engine (src/native/) uses both: `scalar_io` makes scalar
 /// state round-trip through the caller exactly like the VM's
@@ -147,10 +80,6 @@ struct EmitOptions {
   /// reductions are bit-identical at one thread and bit-stable across
   /// runs at any fixed count.  The emitted unit then needs -pthread.
   const ParallelOptions* parallel = nullptr;
-  /// When non-null and enabled(), also emit <fn_name>_guard (see
-  /// GuardOptions).  Guard terms name program parameters / arrays; an
-  /// unknown name throws.
-  const GuardOptions* guards = nullptr;
 };
 
 /// Emit `p` as a standalone C99 translation unit defining

@@ -54,13 +54,6 @@ const ArrayDecl& Program::array_decl(const std::string& name) const {
   return it->second;
 }
 
-ArrayDecl& Program::mutable_array_decl(const std::string& name) {
-  auto it = arrays_.find(name);
-  if (it == arrays_.end())
-    throw Error("Program: undeclared array " + name);
-  return it->second;
-}
-
 Stmt& Program::add(StmtPtr s) {
   body.push_back(std::move(s));
   Stmt& ref = *body.back();

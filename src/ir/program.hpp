@@ -42,9 +42,6 @@ class Program {
   [[nodiscard]] bool has_scalar(const std::string& name) const;
   [[nodiscard]] bool has_param(const std::string& name) const;
   [[nodiscard]] const ArrayDecl& array_decl(const std::string& name) const;
-  /// Mutable declaration access — the specializer folds pinned parameters
-  /// into extents so emitted strides become compile-time constants.
-  [[nodiscard]] ArrayDecl& mutable_array_decl(const std::string& name);
 
   [[nodiscard]] const std::map<std::string, ArrayDecl>& arrays() const {
     return arrays_;

@@ -112,21 +112,17 @@ std::uint64_t KernelCache::default_max_bytes() {
 }
 
 std::string KernelCache::hash_key(const std::string& c_source,
-                                  const Toolchain& tc,
-                                  const std::string& salt) {
-  std::string text = c_source + '\x1f' + tc.id();
-  if (!salt.empty()) text += '\x1f' + salt;
-  return hash_text(text);
+                                  const Toolchain& tc) {
+  return hash_text(c_source + '\x1f' + tc.id());
 }
 
 CompileOutcome KernelCache::get_or_compile(const std::string& c_source,
-                                           const Toolchain& tc,
-                                           const std::string& salt) {
+                                           const Toolchain& tc) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
 
   CompileOutcome out;
-  out.key = hash_key(c_source, tc, salt);
+  out.key = hash_key(c_source, tc);
   const std::string stem = dir_ + "/" + out.key;
   out.so_path = stem + ".so";
   out.c_path = stem + ".c";

@@ -42,23 +42,16 @@ class KernelCache {
   /// $BLK_NATIVE_CACHE_MAX_MB (default 256) in bytes.
   [[nodiscard]] static std::uint64_t default_max_bytes();
 
-  /// The 128-bit content key for (source, toolchain[, salt]), as 32 hex
-  /// chars.  `salt` is extra key material beyond the source text — the
-  /// specialized-kernel path passes the assumption-set hash, so generic
-  /// and specialized variants of one program occupy distinct entries even
-  /// if their sources ever coincided.  An empty salt reproduces the
-  /// historical (source, toolchain) key.
+  /// The 128-bit content key for (source, toolchain), as 32 hex chars.
   [[nodiscard]] static std::string hash_key(const std::string& c_source,
-                                            const Toolchain& tc,
-                                            const std::string& salt = "");
+                                            const Toolchain& tc);
 
   /// Return the shared object for `c_source` compiled by `tc`, compiling
   /// under the entry's file lock when absent or failing re-verification.
   /// Throws blk::Error when the compiler rejects the source (the message
   /// carries the compiler's stderr).
   CompileOutcome get_or_compile(const std::string& c_source,
-                                const Toolchain& tc,
-                                const std::string& salt = "");
+                                const Toolchain& tc);
 
   /// Remove least-recently-used entries until the directory fits the
   /// byte budget; `keep_key` (the entry just produced) is never evicted.

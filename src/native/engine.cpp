@@ -51,35 +51,10 @@ void record_run(const std::string& key, double seconds) {
   }
 }
 
-void record_guard_fail(const std::string& key) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  ++r.totals.guard_fails;
-  for (auto it = r.kernels.rbegin(); it != r.kernels.rend(); ++it) {
-    if (it->key == key) {
-      ++it->guard_fails;
-      break;
-    }
-  }
-}
-
-void record_demotion(const std::string& key) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  ++r.totals.demotions;
-  for (auto it = r.kernels.rbegin(); it != r.kernels.rend(); ++it) {
-    if (it->key == key) {
-      it->demoted = true;
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 Kernel::Kernel(const ir::Program& p, const std::string& fn_name,
                KernelCache* cache, const ir::ParallelOptions* parallel,
-               const ir::GuardOptions* guards, const std::string& variant,
                int opt_level) {
   const Toolchain* tc = toolchain();
   if (!tc)
@@ -103,30 +78,20 @@ Kernel::Kernel(const ir::Program& p, const std::string& fn_name,
   for (const auto& [name, decl] : p.arrays()) array_names_.push_back(name);
   for (const auto& sc : p.scalars()) scalar_names_.push_back(sc);
 
-  const bool want_guards = guards && guards->enabled();
-  source_ = ir::emit_c(p, fn_name,
-                       {.scalar_io = true,
-                        .entry_wrapper = true,
-                        .parallel = parallel,
-                        .guards = want_guards ? guards : nullptr});
+  source_ = ir::emit_c(
+      p, fn_name,
+      {.scalar_io = true, .entry_wrapper = true, .parallel = parallel});
   KernelCache& kc = cache ? *cache : default_cache();
-  CompileOutcome out = kc.get_or_compile(source_, *tc, variant);
+  CompileOutcome out = kc.get_or_compile(source_, *tc);
   so_path_ = out.so_path;
   module_ = std::make_unique<Module>(out.so_path);
   entry_ = reinterpret_cast<EntryFn>(module_->sym(fn_name + "_entry"));
   if (!entry_)
     throw Error("native: compiled object " + out.so_path +
                 " does not export " + fn_name + "_entry");
-  if (want_guards) {
-    guard_ = reinterpret_cast<GuardFn>(module_->sym(fn_name + "_guard"));
-    if (!guard_)
-      throw Error("native: compiled object " + out.so_path +
-                  " does not export " + fn_name + "_guard");
-  }
 
   timings_.key = out.key;
   timings_.fn = fn_name;
-  timings_.variant = variant;
   timings_.cache_hit = out.cache_hit;
   timings_.compile_seconds = out.compile_seconds;
   timings_.load_seconds = module_->load_seconds();
@@ -143,22 +108,6 @@ void Kernel::call(const long* params, double* const* arrays,
   ++timings_.runs;
   timings_.run_seconds += s;
   record_run(timings_.key, s);
-}
-
-long Kernel::check_guards(const long* params, double* const* arrays) {
-  if (!guard_) return 0;
-  const long failed = guard_(params, arrays);
-  if (failed != 0) {
-    ++timings_.guard_fails;
-    record_guard_fail(timings_.key);
-  }
-  return failed;
-}
-
-void Kernel::demote() {
-  if (timings_.demoted) return;
-  timings_.demoted = true;
-  record_demotion(timings_.key);
 }
 
 void warm(const std::vector<const ir::Program*>& programs, int workers,
@@ -220,22 +169,17 @@ std::string stats_json() {
   os << "{\"kernels_built\": " << t.kernels
      << ", \"compiles\": " << t.compiles
      << ", \"cache_hits\": " << t.cache_hits << ", \"runs\": " << t.runs
-     << ", \"guard_fails\": " << t.guard_fails
-     << ", \"demotions\": " << t.demotions
      << ", \"compile_seconds\": " << t.compile_seconds
      << ", \"load_seconds\": " << t.load_seconds
      << ", \"run_seconds\": " << t.run_seconds << ", \"kernels\": [";
   for (std::size_t i = 0; i < ks.size(); ++i) {
     const KernelTimings& k = ks[i];
     os << (i ? ", " : "") << "{\"key\": \"" << k.key << "\", \"fn\": \""
-       << k.fn << "\", \"variant\": \"" << k.variant
-       << "\", \"cache_hit\": " << (k.cache_hit ? "true" : "false")
+       << k.fn << "\", \"cache_hit\": " << (k.cache_hit ? "true" : "false")
        << ", \"compile_seconds\": " << k.compile_seconds
        << ", \"load_seconds\": " << k.load_seconds
        << ", \"runs\": " << k.runs
-       << ", \"run_seconds\": " << k.run_seconds
-       << ", \"guard_fails\": " << k.guard_fails
-       << ", \"demoted\": " << (k.demoted ? "true" : "false") << "}";
+       << ", \"run_seconds\": " << k.run_seconds << "}";
   }
   os << "]}";
   return os.str();

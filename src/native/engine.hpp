@@ -32,23 +32,15 @@ namespace blk::native {
 using EntryFn = void (*)(const long* params, double* const* arrays,
                          double* scalars);
 
-/// The guard symbol a specialized kernel exports (see
-/// ir::GuardOptions): 0 when every assumption holds, else the 1-based
-/// index of the first failing guard.
-using GuardFn = long (*)(const long* params, double* const* arrays);
-
 /// Per-kernel JIT observability record.
 struct KernelTimings {
   std::string key;      ///< cache key (hex)
   std::string fn;       ///< emitted function name
-  std::string variant;  ///< assumption-set hash ("" = generic kernel)
   bool cache_hit = false;
   double compile_seconds = 0.0;
   double load_seconds = 0.0;
   std::uint64_t runs = 0;
   double run_seconds = 0.0;
-  std::uint64_t guard_fails = 0;  ///< entry-guard rejections of this variant
-  bool demoted = false;           ///< runtime gave up on this variant
 };
 
 /// One compiled program.  Construction emits C, compiles (or reuses the
@@ -62,39 +54,20 @@ struct KernelTimings {
 /// strategies — occupy distinct cache entries and coexist on disk.
 class Kernel {
  public:
-  /// `guards` non-null (and enabled) makes the emitted unit export a
-  /// guard function checked by call_guarded; `variant` is the
-  /// assumption-set hash keying this specialized build in the cache
-  /// (generic kernels leave it empty).  `opt_level` selects the host
-  /// compiler's -O level: the default 2 is the generic tier, 3 is the
-  /// hot tier — -O3 plus -funroll-loops, the recipe the tiered runtime
-  /// compiles specialized variants with (the flags are part of the
-  /// toolchain id, so the two levels occupy distinct cache entries).
+  /// `opt_level` selects the host compiler's -O level: the default 2 is
+  /// the generic tier, 3 is the hot tier — -O3 plus -funroll-loops, the
+  /// build bench_paper times the paper's tables on (the flags are part of
+  /// the toolchain id, so the two levels occupy distinct cache entries).
   explicit Kernel(const ir::Program& p,
                   const std::string& fn_name = "blk_kernel",
                   KernelCache* cache = nullptr,
                   const ir::ParallelOptions* parallel = nullptr,
-                  const ir::GuardOptions* guards = nullptr,
-                  const std::string& variant = "",
                   int opt_level = 2);
 
   /// Invoke the compiled code.  `params` / `arrays` / `scalars` follow
   /// the declaration-order contract above; the scalar block is read at
   /// entry and written back at return (VM sync semantics).
   void call(const long* params, double* const* arrays, double* scalars);
-
-  /// Check entry guards without running the body: 0 when every assumption
-  /// holds for this binding (or the kernel is unguarded), else the
-  /// 1-based failing-guard index.  A failure is recorded against this
-  /// variant's stats; deciding the fallback (generic kernel / VM) is the
-  /// caller's job.
-  [[nodiscard]] long check_guards(const long* params,
-                                  double* const* arrays);
-
-  [[nodiscard]] bool guarded() const { return guard_ != nullptr; }
-  /// Mark this variant demoted (repeated guard failures); bumps the
-  /// registry's demotion counter once per kernel.
-  void demote();
 
   [[nodiscard]] const std::vector<std::string>& param_names() const {
     return param_names_;
@@ -118,7 +91,6 @@ class Kernel {
   std::string so_path_;
   std::unique_ptr<Module> module_;
   EntryFn entry_ = nullptr;
-  GuardFn guard_ = nullptr;
   KernelTimings timings_;
 };
 
@@ -137,8 +109,6 @@ struct Stats {
   std::uint64_t compiles = 0;     ///< cache misses that ran the compiler
   std::uint64_t cache_hits = 0;
   std::uint64_t runs = 0;
-  std::uint64_t guard_fails = 0;  ///< entry-guard rejections (all variants)
-  std::uint64_t demotions = 0;    ///< variants the runtime gave up on
   double compile_seconds = 0.0;
   double load_seconds = 0.0;
   double run_seconds = 0.0;
@@ -151,9 +121,8 @@ void reset_stats();
 [[nodiscard]] std::vector<KernelTimings> kernel_stats();
 
 /// The whole registry as a JSON object:
-///   {"compiles": 2, "cache_hits": 5, ..., "guard_fails": 0,
-///    "demotions": 0, "kernels": [{..., "variant": "", "guard_fails": 0,
-///    "demoted": false}, ...]}
+///   {"kernels_built": 7, "compiles": 2, "cache_hits": 5, ...,
+///    "kernels": [{"key": ..., "fn": ..., "cache_hit": true, ...}, ...]}
 [[nodiscard]] std::string stats_json();
 
 }  // namespace blk::native

@@ -145,18 +145,6 @@ struct PipelineContext {
   /// pre-order loop coordinates inside.
   std::optional<ir::ParallelOptions> parallel;
 
-  // Specialization products (the `specialize` stage, src/spec/).  The
-  // pass rewrites ctx.prog under the assumption set derived from
-  // `resolved`; these record what the rewritten program is only valid
-  // for.  Consumers (blk-opt --keep-c, bench_json) emit the guard
-  // prologue via EmitOptions::guards and key caches on assumption_hash.
-  /// Entry guards the specialized program must be protected by.
-  std::optional<ir::GuardOptions> guards;
-  /// Canonical assumption-set text ("pin{...};div{...};...") and its
-  /// 128-bit hash — the cache-key salt for specialized variants.
-  std::string assumption_canonical;
-  std::string assumption_hash;
-
   /// Per-stage reporting: a stage that decides to no-op (e.g. distribute
   /// after a not-distributable split) sets these; the runner resets them
   /// before each stage and copies them into the stage's PassStat.

@@ -13,8 +13,6 @@
 #include "transform/ifinspect.hpp"
 #include "transform/interchange.hpp"
 #include "transform/scalarrepl.hpp"
-#include "spec/assumptions.hpp"
-#include "spec/specialize.hpp"
 #include "transform/skew.hpp"
 #include "transform/split.hpp"
 #include "transform/unrolljam.hpp"
@@ -287,51 +285,6 @@ Registry::Registry() {
        .options = {},
        .run = [](PipelineContext& ctx, const PassInvocation&) {
          transform::simplify_all_bounds(ctx.prog.body, ctx.hints);
-       }});
-
-  add({.name = "specialize",
-       .doc = "clone the program under the assumption set derived from "
-              "the resolved parameter bindings (selectblock's factor plus "
-              "any --bind values): constant-fold pinned parameters, "
-              "resolve MIN/MAX bounds under the exact stepped ranges the "
-              "constants expose, delete provably zero-trip remainder "
-              "loops, and record the entry guards + assumption-set hash "
-              "the specialized kernel must be keyed and protected by; "
-              "validated differentially, not translation-verified",
-       .options = {{.name = "noguards", .kind = OptKind::Flag,
-                    .doc = "rewrite only; publish no entry guards (the "
-                           "caller vouches for the binding)"}},
-       .run = [](PipelineContext& ctx, const PassInvocation& inv) {
-         spec::AssumptionSet as =
-             spec::AssumptionSet::from_binding(ctx.prog, ctx.resolved);
-         if (as.empty()) {
-           ctx.stage_skipped = true;
-           ctx.stage_note = "no resolved bindings to specialize under";
-           return;
-         }
-         spec::SpecializeResult r = spec::specialize(ctx.prog, as);
-         ctx.prog = std::move(r.prog);
-         // The clone replaced every statement: loop-pointer products
-         // (focus, strip, pieces, inspector trio) now dangle, and loop
-         // coordinates inside a parallel plan shifted if remainder
-         // loops were deleted.
-         ctx.focus = nullptr;
-         ctx.strip = nullptr;
-         ctx.split_report.reset();
-         ctx.pieces.clear();
-         ctx.inspector = ctx.range_loop = ctx.executor = nullptr;
-         ctx.parallel.reset();
-         if (!inv.flag("noguards")) ctx.guards = r.guards;
-         ctx.assumption_canonical = as.canonical();
-         ctx.assumption_hash = as.hash();
-         // Pins fold into the text: bound params stay declared (shared
-         // entry ABI) but the specialized body no longer reads them.
-         ctx.stage_note = "folded " + std::to_string(r.folded_params) +
-                          " params, deleted " +
-                          std::to_string(r.deleted_loops) +
-                          " zero-trip loops, " +
-                          std::to_string(r.guards.size()) + " guards [" +
-                          as.hash().substr(0, 8) + "]";
        }});
 
   add({.name = "selectblock",

@@ -77,8 +77,7 @@ std::string json_escape(std::string_view s) {
 
 std::string report_json(const RunReport& report, std::string_view program,
                         std::string_view pipeline,
-                        std::string_view native_json,
-                        std::string_view tiered_json) {
+                        std::string_view native_json) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"program\": \"" << json_escape(program) << "\",\n";
@@ -90,8 +89,6 @@ std::string report_json(const RunReport& report, std::string_view program,
      << ", \"build_seconds\": " << report.analysis.build_seconds << "},\n";
   if (!native_json.empty())
     os << "  \"native\": " << native_json << ",\n";
-  if (!tiered_json.empty())
-    os << "  \"tiered\": " << tiered_json << ",\n";
   os << "  \"passes\": [\n";
   for (std::size_t i = 0; i < report.passes.size(); ++i) {
     const PassStat& p = report.passes[i];

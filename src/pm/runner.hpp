@@ -50,15 +50,13 @@ RunReport run_spec(ir::Program& p, std::string_view spec,
                    const analysis::Assumptions& hints = {});
 
 /// Render a run report as a JSON object (pretty-printed, stable key
-/// order) — the payload blk-opt writes for --bench_json.  `native_json`
-/// and `tiered_json`, when non-empty, are spliced in verbatim under the
-/// "native" / "tiered" keys (the caller passes native::stats_json() /
-/// interp::tiered_stats_json(); pm itself stays independent of both
-/// backends).
+/// order) — the payload blk-opt writes for --bench_json.  `native_json`,
+/// when non-empty, is spliced in verbatim under the "native" key (the
+/// caller passes native::stats_json(); pm itself stays independent of
+/// the backend).
 [[nodiscard]] std::string report_json(const RunReport& report,
                                       std::string_view program,
                                       std::string_view pipeline,
-                                      std::string_view native_json = {},
-                                      std::string_view tiered_json = {});
+                                      std::string_view native_json = {});
 
 }  // namespace blk::pm

@@ -17,6 +17,8 @@
 #include "kernels/ir_kernels.hpp"
 #include "native/cache.hpp"
 #include "native/engine.hpp"
+#include "pm/runner.hpp"
+#include "pm/spec.hpp"
 #include "testutil.hpp"
 
 namespace blk::native {
@@ -49,6 +51,12 @@ void expect_bitwise_equal(const interp::Store& a, const interp::Store& b) {
   }
 }
 
+/// A bare Store seen through the `store()` accessor test::seed_inputs takes.
+struct StoreRef {
+  interp::Store& s;
+  interp::Store& store() { return s; }
+};
+
 /// Run `p` on both engines with identically seeded inputs and require
 /// bitwise agreement.
 void expect_native_matches_vm(
@@ -68,6 +76,45 @@ TEST(NativeEngine, LuPointBitIdenticalToVm) {
   if (!available()) GTEST_SKIP() << "no host C toolchain";
   expect_native_matches_vm(kernels::lu_point_ir(), {{"N", 37}}, 7,
                            {{"A", 37.0}});
+}
+
+/// Compile `p` at the hot tier (opt_level 3: -O3 -funroll-loops), call it
+/// on a seeded store and require bitwise agreement with the VM.
+void expect_hot_tier_matches_vm(const ir::Program& p, const ir::Env& env) {
+  const std::map<std::string, double> boost{{"A", 37.0}};
+  interp::ExecEngine vm(p, env, interp::Engine::Vm);
+  test::seed_inputs(vm, 13, boost);
+  vm.run();
+
+  Kernel hot(p, "blk_kernel", nullptr, nullptr, 3);
+  interp::Store st = interp::make_store(p, env);
+  StoreRef ref{st};
+  test::seed_inputs(ref, 13, boost);
+  std::vector<long> params;
+  for (const auto& name : hot.param_names()) params.push_back(env.at(name));
+  std::vector<double*> arrays;
+  for (const auto& name : hot.array_names())
+    arrays.push_back(st.arrays.at(name).flat().data());
+  std::vector<double> scalars;
+  for (const auto& name : hot.scalar_names())
+    scalars.push_back(st.scalars.at(name));
+  hot.call(params.data(), arrays.data(), scalars.data());
+  for (std::size_t i = 0; i < scalars.size(); ++i)
+    st.scalars[hot.scalar_names()[i]] = scalars[i];
+  expect_bitwise_equal(vm.store(), st);
+}
+
+// bench_paper times every table at the hot tier, so its code must stay
+// bitwise equal to the VM on the point form and on the derived "2+".
+TEST(NativeEngine, HotTierBitIdenticalToVm) {
+  if (!available()) GTEST_SKIP() << "no host C toolchain";
+  expect_hot_tier_matches_vm(kernels::lu_point_ir(), {{"N", 37}});
+
+  ir::Program plus = kernels::lu_point_ir();
+  analysis::Assumptions hints;
+  pm::add_fact(hints, "K+KS-1<=N-1");
+  (void)pm::run_spec(plus, "autoblockplus(b=KS)", hints);
+  expect_hot_tier_matches_vm(plus, {{"N", 37}, {"KS", 8}});
 }
 
 TEST(NativeEngine, PivotedLuScalarsRoundTripLikeVm) {
@@ -127,7 +174,18 @@ TEST(NativeEngine, ParseEngineSpellingsAndErrors) {
   EXPECT_EQ(interp::parse_engine("vm"), interp::Engine::Vm);
   EXPECT_EQ(interp::parse_engine("native"), interp::Engine::Native);
   EXPECT_THROW((void)interp::parse_engine("cuda"), Error);
+  EXPECT_THROW((void)interp::parse_engine("tiered"), Error);
   EXPECT_STREQ(interp::to_string(interp::Engine::Native), "native");
+}
+
+// blk-opt's --bench_json "native" section is this string verbatim.
+TEST(NativeEngine, StatsJsonSchemaIsPinned) {
+  const std::string json = stats_json();
+  for (const char* key :
+       {"\"kernels_built\":", "\"compiles\":", "\"cache_hits\":",
+        "\"runs\":", "\"compile_seconds\":", "\"load_seconds\":",
+        "\"run_seconds\":", "\"kernels\":"})
+    EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
 }
 
 TEST(NativeEngine, WarmPrecompilesSoConstructionHits) {
@@ -178,10 +236,7 @@ TEST(NativeEngine, BrokenEmitterIsCaughtByDifferential) {
   vm.run();
 
   interp::Store broken = interp::make_store(p, env);
-  struct StoreRef {
-    interp::Store& s;
-    interp::Store& store() { return s; }
-  } ref{broken};
+  StoreRef ref{broken};
   test::seed_inputs(ref, 5, {{"A", 12.0}});
 
   std::vector<long> params;

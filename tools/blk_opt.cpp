@@ -42,21 +42,13 @@
 //                        each check also cross-validates the native engine
 //                        against the bytecode VM on both programs
 //   --bind BINDINGS      resolve parameters ahead of the pipeline (e.g.
-//                        N=500,KS=50); the specialize stage pins these
-//                        and they back --check bindings (repeatable;
-//                        selectblock's own choice wins on a name clash)
-//   --engine NAME        execution engine for --check: tree, vm (default),
-//                        native (JIT through the C backend; falls back
-//                        to the VM when no host toolchain exists), or
-//                        tiered (profiling VM that promotes hot bindings
-//                        to guarded specialized native); each tiered
-//                        check replays the binding past the promotion
-//                        threshold and bit-checks every run — cold VM,
-//                        promotion, specialized — against the VM oracle
-//   --promote-after K    tiered promotion threshold: compile a binding's
-//                        native variants after its K-th invocation
-//                        (default $BLK_TIERED_PROMOTE_AFTER else 3;
-//                        requires --engine=tiered)
+//                        N=500,KS=50): they fill in parameters a --check
+//                        binding leaves out and fix sizes selectblock
+//                        would otherwise probe (repeatable; selectblock's
+//                        own choice wins on a name clash)
+//   --engine NAME        execution engine for --check: tree, vm (default)
+//                        or native (JIT through the C backend; falls back
+//                        to the VM when no host toolchain exists)
 //   --parallel           build the certified parallel plan (appends
 //                        "parallelize(check)" to the pipeline when absent)
 //                        and run native checks through it; each --check
@@ -73,10 +65,7 @@
 //   --golden FILE        diff the printed result against FILE; exit 1 on
 //                        mismatch
 //   --bench_json PATH    write per-pass stats (wall time, IR statement
-//                        delta, analysis cache hits/misses) as JSON;
-//                        with --engine=tiered the payload gains a
-//                        "tiered" section (promotions, deopt events,
-//                        demotions)
+//                        delta, analysis cache hits/misses) as JSON
 //   --no-verify          skip translation validation of each pass
 //   --print-registry     list every registered pass and exit
 //   --quiet              suppress the pass-stat table on stderr
@@ -97,7 +86,6 @@
 #include <vector>
 
 #include "interp/interp.hpp"
-#include "interp/tiered.hpp"
 #include "interp/vm.hpp"
 #include "ir/codegen.hpp"
 #include "ir/error.hpp"
@@ -260,43 +248,6 @@ bool cross_check_native(const blk::ir::Program& p, const blk::ir::Env& env,
   return false;
 }
 
-/// Replay `p` under `env` on the tiered engine past the promotion
-/// threshold — synchronously, so the run after the threshold executes the
-/// guarded specialized variant when one built — and bit-check every run
-/// (cold VM, promotion, specialized steady state) against the VM oracle.
-/// Prints a reproducer and returns false on the first divergence.
-bool cross_check_tiered(const blk::ir::Program& p, const blk::ir::Env& env,
-                        const std::string& bindings_label, const char* what,
-                        long promote_after) {
-  blk::interp::TieredOptions topts;
-  if (promote_after > 0) topts.promote_after = static_cast<int>(promote_after);
-  topts.synchronous = true;
-  const int threshold =
-      blk::interp::TieredOptions::resolved(topts).promote_after;
-  const int runs = threshold + 2;  // cold runs, the promoting run, steady state
-  for (int r = 1; r <= runs; ++r) {
-    blk::interp::ExecEngine vm(p, env, blk::interp::Engine::Vm);
-    blk::interp::ExecEngine td(p, env, blk::interp::Engine::Tiered, nullptr,
-                               &topts);
-    seed_inputs(vm, 0x5eed);
-    seed_inputs(td, 0x5eed);
-    vm.run();
-    td.run();
-    DiffSite site = find_max_diff(vm.store(), td.store());
-    if (site.diff == 0.0) continue;
-    std::cerr << "blk-opt: --check " << bindings_label
-              << "ENGINE DIVERGENCE (vm vs tiered, run " << r << " of "
-              << runs << ") on the " << what << " program\n"
-              << "  worst element: " << site.var << " = " << site.va
-              << " (vm) vs " << site.vb << " (tiered), |diff| = "
-              << site.diff << "\n  reproduce: blk-opt --engine=tiered "
-              << "--promote-after " << threshold << " --check "
-              << bindings_label << "... <same pipeline and input>\n";
-    return false;
-  }
-  return true;
-}
-
 void print_registry() {
   const auto& reg = blk::pm::Registry::instance();
   for (const auto& [name, info] : reg.passes()) {
@@ -364,7 +315,6 @@ int main(int argc, char** argv) {
   long sweep_workers = 0;
   bool parallel = false;
   long threads = 0;
-  long promote_after = 0;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -410,12 +360,6 @@ int main(int argc, char** argv) {
           return 2;
         }
         parallel = true;
-      } else if (arg == "--promote-after") {
-        promote_after = std::stol(need_value("--promote-after"));
-        if (promote_after < 1) {
-          std::cerr << "blk-opt: --promote-after wants a positive count\n";
-          return 2;
-        }
       } else if (arg == "--keep-c") {
         keep_c_dir = need_value("--keep-c");
       } else if (arg == "--golden") {
@@ -462,8 +406,7 @@ int main(int argc, char** argv) {
         std::cout << "usage: blk-opt -p SPEC [--assume FACT]... "
                      "[--check N=24,BS=5]... [--bind N=24,BS=5]...\n"
                      "               [--golden FILE]\n"
-                     "               [--engine tree|vm|native|tiered] "
-                     "[--promote-after K]\n"
+                     "               [--engine tree|vm|native]\n"
                      "               [--keep-c DIR] [--bench_json PATH] "
                      "[--no-verify] [--quiet] [file.f]\n"
                      "       blk-opt --auto-b [--cache SIZE/LINE/ASSOC]... "
@@ -495,10 +438,6 @@ int main(int argc, char** argv) {
       std::cerr << "blk-opt: " << e.what() << "\n";
       return 2;
     }
-  }
-  if (promote_after > 0 && engine != blk::interp::Engine::Tiered) {
-    std::cerr << "blk-opt: --promote-after needs --engine=tiered\n";
-    return 3;
   }
   if (parallel && engine != blk::interp::Engine::Native) {
     // The tree-walker and VM have no threads to give; silently running
@@ -554,9 +493,9 @@ int main(int argc, char** argv) {
   blk::pm::PipelineContext ctx(prog, hints);
   ctx.machine = machine;
   ctx.latencies = latencies;
-  // --bind values are resolved bindings the pipeline may exploit (the
-  // specialize stage pins them); passes that choose values themselves
-  // (selectblock) overwrite a binding of the same name.
+  // --bind values are resolved bindings: they complete every --check
+  // binding and fix the sizes selectblock probes at; passes that choose
+  // values themselves (selectblock) overwrite a binding of the same name.
   ctx.resolved = binds;
   blk::pm::RunReport report;
   try {
@@ -610,14 +549,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       // The transformed program shows the threaded form when a plan
-      // exists (the original predates the plan's loop coordinates), and
-      // carries the entry-guard prologue when a specialize stage ran.
-      out << blk::ir::emit_c(
-          *p, "blk_kernel",
-          {.scalar_io = true,
-           .entry_wrapper = true,
-           .parallel = p == &prog ? plan : nullptr,
-           .guards = p == &prog && ctx.guards ? &*ctx.guards : nullptr});
+      // exists (the original predates the plan's loop coordinates).
+      out << blk::ir::emit_c(*p, "blk_kernel",
+                             {.scalar_io = true,
+                              .entry_wrapper = true,
+                              .parallel = p == &prog ? plan : nullptr});
       if (!quiet) std::cerr << "blk-opt: wrote " << path.string() << "\n";
     }
   }
@@ -654,30 +590,9 @@ int main(int argc, char** argv) {
     full.insert(ctx.resolved.begin(), ctx.resolved.end());
     std::ostringstream label;
     for (const auto& [k, v] : env) label << k << "=" << v << " ";
-    // A specialized program is only valid for bindings satisfying its
-    // assumptions (its array extents are folded); comparing it against
-    // the original under a contradicting binding is meaningless.  The
-    // tiered cross-check below still exercises this binding — at run
-    // time the violating binding guard-fails into the generic kernel.
-    bool pins_violated = false;
-    if (ctx.guards) {
-      for (const auto& pe : ctx.guards->param_eq) {
-        auto it = full.find(pe.param);
-        if (it != full.end() && it->second != pe.value) {
-          pins_violated = true;
-          if (!quiet)
-            std::cerr << "blk-opt: --check " << label.str()
-                      << "skipped original-vs-transformed (" << pe.param
-                      << "=" << it->second
-                      << " violates the specialization pin " << pe.param
-                      << "=" << pe.value << ")\n";
-          break;
-        }
-      }
-    }
     double diff = 0.0;
     try {
-      if (!pins_violated) diff = run_and_diff(original, prog, full, engine);
+      diff = run_and_diff(original, prog, full, engine);
     } catch (const std::exception& e) {
       std::cerr << "blk-opt: --check failed to run: " << e.what() << "\n";
       status = 1;
@@ -688,7 +603,7 @@ int main(int argc, char** argv) {
                 << blk::interp::to_string(engine)
                 << " engine (max |diff| = " << diff << ")\n";
       status = 1;
-    } else if (!quiet && !pins_violated) {
+    } else if (!quiet) {
       std::cerr << "blk-opt: --check " << label.str() << "ok ("
                 << blk::interp::to_string(engine) << ")\n";
     }
@@ -728,26 +643,6 @@ int main(int argc, char** argv) {
         }
       }
     }
-    // On the tiered engine, replay the binding past the promotion
-    // threshold on both programs: the check must stay bit-exact through
-    // cold VM runs, the promoting run, and the specialized steady state.
-    if (engine == blk::interp::Engine::Tiered) {
-      try {
-        if (!cross_check_tiered(original, full, label.str(), "original",
-                                promote_after))
-          status = 1;
-        else if (!cross_check_tiered(prog, full, label.str(), "transformed",
-                                     promote_after))
-          status = 1;
-        else if (!quiet)
-          std::cerr << "blk-opt: --check " << label.str()
-                    << "vm-vs-tiered ok (through promotion)\n";
-      } catch (const std::exception& e) {
-        std::cerr << "blk-opt: --check " << label.str()
-                  << "vm-vs-tiered failed to run: " << e.what() << "\n";
-        status = 1;
-      }
-    }
   }
 
   // Written after the checks so the native section reflects every kernel
@@ -761,13 +656,8 @@ int main(int argc, char** argv) {
     std::string native_json;
     if (blk::native::stats().kernels > 0)
       native_json = blk::native::stats_json();
-    std::string tiered_json;
-    if (blk::interp::tiered_stats().invocations > 0) {
-      blk::interp::tiered_drain();
-      tiered_json = blk::interp::tiered_stats_json();
-    }
     out << blk::pm::report_json(report, file, pipeline.to_string(),
-                                native_json, tiered_json);
+                                native_json);
   }
 
   if (!golden_path.empty()) {
