@@ -21,7 +21,6 @@
 #include "native/engine.hpp"
 #include "pm/runner.hpp"
 #include "pm/spec.hpp"
-#include "transform/blocking.hpp"
 
 namespace {
 
@@ -60,8 +59,7 @@ std::vector<Case> make_cases() {
     analysis::Assumptions hints;
     hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                     isub(ivar("N"), iconst(1)));
-    (void)transform::auto_block(blocked, blocked.body[0]->as_loop(),
-                                ivar("KS"), hints);
+    (void)pm::run_spec(blocked, "autoblock(b=KS)", hints);
     cases.push_back({"lu_blocked", std::move(blocked), env_n_ks, 3.0, false});
   }
 
@@ -86,7 +84,7 @@ std::vector<Case> make_cases() {
       {"givens_point", kernels::givens_qr_ir(), env_mn, 3.0, false});
   {
     ir::Program opt = kernels::givens_qr_ir();
-    (void)transform::optimize_givens(opt);
+    (void)pm::run_spec(opt, "optgivens");
     cases.push_back({"givens_opt", std::move(opt), env_mn, 3.0, false});
   }
 
@@ -96,17 +94,13 @@ std::vector<Case> make_cases() {
 }
 
 void seed_engine(interp::ExecEngine& e, const Case& c) {
+  interp::seed_store(e.store(), 42);
   for (auto& [name, t] : e.store().arrays) {
-    std::uint64_t k = 42;
-    for (char ch : name)
-      k = k * 1099511628211ULL + static_cast<unsigned char>(ch);
-    interp::fill_random(t, k);
-    if (c.diag_boost != 0.0 && t.rank() == 2) {
-      for (long i = t.lower(0); i <= t.upper(0); ++i) {
-        if (i < t.lower(1) || i > t.upper(1)) continue;
-        std::vector<long> idx{i, i};
-        t.at(idx) += c.diag_boost;
-      }
+    if (c.diag_boost == 0.0 || t.rank() != 2) continue;
+    for (long i = t.lower(0); i <= t.upper(0); ++i) {
+      if (i < t.lower(1) || i > t.upper(1)) continue;
+      std::vector<long> idx{i, i};
+      t.at(idx) += c.diag_boost;
     }
   }
   if (c.set_dt) e.store().scalars["DT"] = 0.25;

@@ -117,17 +117,13 @@ std::vector<Case> make_cases() {
 }
 
 void seed_engine(interp::ExecEngine& e, const Case& c) {
+  interp::seed_store(e.store(), 42);
   for (auto& [name, t] : e.store().arrays) {
-    std::uint64_t k = 42;
-    for (char ch : name)
-      k = k * 1099511628211ULL + static_cast<unsigned char>(ch);
-    interp::fill_random(t, k);
-    if (c.diag_boost != 0.0 && t.rank() == 2) {
-      for (long i = t.lower(0); i <= t.upper(0); ++i) {
-        if (i < t.lower(1) || i > t.upper(1)) continue;
-        std::vector<long> idx{i, i};
-        t.at(idx) += c.diag_boost;
-      }
+    if (c.diag_boost == 0.0 || t.rank() != 2) continue;
+    for (long i = t.lower(0); i <= t.upper(0); ++i) {
+      if (i < t.lower(1) || i > t.upper(1)) continue;
+      std::vector<long> idx{i, i};
+      t.at(idx) += c.diag_boost;
     }
   }
 }

@@ -30,11 +30,11 @@
 #include "ir/builder.hpp"
 #include "kernels/ir_kernels.hpp"
 #include "model/sweep.hpp"
+#include "pm/runner.hpp"
 #include "trace/format.hpp"
 #include "trace/replay.hpp"
 #include "trace/store.hpp"
 #include "trace/synth.hpp"
-#include "transform/blocking.hpp"
 
 namespace {
 
@@ -76,8 +76,7 @@ Program blocked_lu() {
   analysis::Assumptions hints;
   hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                   isub(ivar("N"), iconst(1)));
-  (void)transform::auto_block(prog, prog.body[0]->as_loop(), ivar("KS"),
-                              hints);
+  (void)pm::run_spec(prog, "autoblock(b=KS)", hints);
   prog.scalar("KS");
   return prog;
 }

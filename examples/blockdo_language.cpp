@@ -1,6 +1,7 @@
 // §6 end to end: the machine-independent BLOCK DO source for block LU
 // (Fig. 11), compiled by the mini-Fortran front end, with the blocking
-// factor chosen by the compiler's machine model — never by the programmer.
+// factor chosen by the compiler's analytic machine model (the one
+// selectblock uses) — never by the programmer.
 //
 //   $ ./examples/blockdo_language
 #include <cstdio>
@@ -49,23 +50,31 @@ int main() {
   std::printf("Lowered IR (blocking factor still symbolic):\n%s\n",
               ir::print(cr.program.body).c_str());
 
-  // Two machines, two factors — same source.
+  // Three machines, three factors — same source.
   struct Target {
     const char* name;
-    lang::MachineModel machine;
+    cachesim::CacheConfig cache;
   };
   const Target targets[] = {
-      {"RS/6000 540 (64KB cache)", {}},
-      {"small embedded (8KB cache)", {.cache_bytes = 8 * 1024}},
-      {"large L2 (512KB)", {.cache_bytes = 512 * 1024}},
+      {"RS/6000 540 (64KB cache)",
+       {.size_bytes = 64 * 1024, .line_bytes = 128, .assoc = 4}},
+      {"small embedded (8KB cache)",
+       {.size_bytes = 8 * 1024, .line_bytes = 64, .assoc = 4}},
+      {"large L2 (512KB)",
+       {.size_bytes = 512 * 1024, .line_bytes = 64, .assoc = 8}},
+  };
+  auto machine = [](const cachesim::CacheConfig& l1) {
+    model::MachineParams m;
+    m.levels = {l1};
+    return m;
   };
   for (const auto& t : targets) {
-    auto sizes = lang::choose_block_sizes(cr, t.machine);
+    auto sizes = lang::choose_block_sizes(cr, machine(t.cache));
     std::printf("%-28s -> BS_K = %ld\n", t.name, sizes.at("BS_K"));
   }
 
   // Bind the RS/6000 choice and check against the point algorithm.
-  auto sizes = lang::choose_block_sizes(cr, {});
+  auto sizes = lang::choose_block_sizes(cr, machine(targets[0].cache));
   lang::bind_block_sizes(cr, sizes);
   ir::Program point = kernels::lu_point_ir();
   const long n = 40;

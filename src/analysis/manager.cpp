@@ -15,16 +15,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-unsigned preserved_analyses(std::string_view pass) {
-  // Every current transformation rewrites statement nodes somewhere under
-  // its root, and all three analysis families key on node identity, so the
-  // conservative answer is "nothing".  The table exists so that future
-  // passes with surgical footprints (a rewrite proven not to change any
-  // dependence) can opt in; a pass name absent here preserves nothing.
-  (void)pass;
-  return 0;
-}
-
 DepGraphPtr AnalysisManager::dep_graph(ir::StmtList& root, ir::Loop& loop,
                                        const Assumptions* ctx) {
   DepKey key{.root = &root,
@@ -90,11 +80,11 @@ std::vector<LoopReuse> AnalysisManager::reuse(ir::StmtList& body,
   return r;
 }
 
-void AnalysisManager::invalidate(unsigned preserved) {
+void AnalysisManager::invalidate() {
   ++stats_.invalidations;
-  if (!(preserved & kDepGraphs)) dep_cache_.clear();
-  if (!(preserved & kSections)) section_cache_.clear();
-  if (!(preserved & kReuse)) reuse_cache_.clear();
+  dep_cache_.clear();
+  section_cache_.clear();
+  reuse_cache_.clear();
 }
 
 AnalysisManager* current_analysis_manager() {
@@ -115,14 +105,12 @@ ScopedAnalysisManager::~ScopedAnalysisManager() {
   }
 }
 
-void notify_pass_end(std::string_view pass, bool committed) {
-  AnalysisManager* am = current_analysis_manager();
-  if (!am) return;
-  am->invalidate(committed ? preserved_analyses(pass) : 0);
+void notify_pass_end() {
+  if (AnalysisManager* am = current_analysis_manager()) am->invalidate();
 }
 
 void notify_ir_mutation() {
-  if (AnalysisManager* am = current_analysis_manager()) am->invalidate_all();
+  if (AnalysisManager* am = current_analysis_manager()) am->invalidate();
 }
 
 DepGraphPtr dep_graph_for(ir::StmtList& root, ir::Loop& loop,

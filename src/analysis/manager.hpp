@@ -8,8 +8,10 @@
 // four times per trial iteration (candidate scan, shape-before, shape-
 // after, next-iteration scan) even though the tree only changes when a
 // trial split commits.  The manager caches analysis results between IR
-// mutations: every PassScope ends with `notify_pass_end`, which drops the
-// cached results the pass does not declare preserved.
+// mutations: every PassScope ends with `notify_pass_end`, which drops every
+// cached result (every transformation rewrites statement nodes somewhere
+// under its root, and all three analysis families key on node identity;
+// aborted passes restore values, not node identities).
 //
 // Lifetime: dependence graphs are handed out as shared_ptr, so a client
 // holding a graph across a nested committed pass (IndexSetSplit iterating
@@ -28,7 +30,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/depgraph.hpp"
@@ -38,21 +39,6 @@
 namespace blk::analysis {
 
 using DepGraphPtr = std::shared_ptr<const DepGraph>;
-
-/// The analysis families the manager caches; passes declare which they
-/// preserve (see `preserved_analyses`) as a bitmask of these.
-enum AnalysisKind : unsigned {
-  kDepGraphs = 1u << 0,
-  kSections = 1u << 1,
-  kReuse = 1u << 2,
-  kAllAnalyses = kDepGraphs | kSections | kReuse,
-};
-
-/// Preservation declaration for a pass name: the analyses a *committed*
-/// application leaves valid.  Unknown passes preserve nothing (a new pass
-/// must opt in explicitly); aborted passes also preserve nothing, because
-/// trial-undo restores values, not node identities.
-[[nodiscard]] unsigned preserved_analyses(std::string_view pass);
 
 class AnalysisManager {
  public:
@@ -74,11 +60,10 @@ class AnalysisManager {
   /// Memoized `analyze_reuse(body, line_elements)`.
   std::vector<LoopReuse> reuse(ir::StmtList& body, long line_elements = 8);
 
-  /// Drop cached results not covered by `preserved` (bitmask of
-  /// AnalysisKind).  Called from the PassScope hook; also call directly
-  /// after mutating the tree outside any pass (manual trial undo).
-  void invalidate(unsigned preserved = 0);
-  void invalidate_all() { invalidate(0); }
+  /// Drop every cached result.  Called from the PassScope hook; also call
+  /// directly after mutating the tree outside any pass (manual trial
+  /// undo).
+  void invalidate();
 
   [[nodiscard]] bool caching() const { return caching_; }
 
@@ -156,8 +141,8 @@ class ScopedAnalysisManager {
 };
 
 /// Pass-end hook (called by ~PassScope on every pass, committed or not):
-/// invalidates the current manager's caches per the preservation table.
-void notify_pass_end(std::string_view pass, bool committed);
+/// invalidates the current manager's caches.
+void notify_pass_end();
 
 /// Notify the current manager (if any) that the tree changed outside any
 /// pass scope — the manual trial-undo path of Procedure IndexSetSplit.

@@ -9,32 +9,9 @@ namespace blk::lang {
 
 using namespace blk::ir;
 
-ir::Env choose_block_sizes(const CompileResult& cr,
-                           const MachineModel& machine) {
-  ir::Env sizes;
-  for (const auto& [var, bs] : cr.block_params) {
-    auto fx = cr.fixed_factors.find(bs);
-    sizes[bs] = fx != cr.fixed_factors.end()
-                    ? fx->second
-                    : static_cast<long>(machine.block_size_2d());
-  }
-  return sizes;
-}
-
 ir::Env choose_block_sizes(CompileResult& cr,
                            const model::MachineParams& machine, long probe) {
-  if (probe <= 0) {
-    // Same sizing rule as pm's selectblock: the probe arrays must
-    // overflow L1 or every factor looks equally good.
-    const double target = 2.0 *
-                          static_cast<double>(machine.l1().size_bytes) /
-                          static_cast<double>(machine.element_bytes);
-    probe = 16;
-    while (static_cast<double>(probe) * static_cast<double>(probe) <
-               target &&
-           probe < 512)
-      probe += 16;
-  }
+  if (probe <= 0) probe = model::probe_size(machine);
 
   ir::Env probe_env;
   for (const std::string& p : cr.program.params()) {
@@ -60,7 +37,7 @@ ir::Env choose_block_sizes(CompileResult& cr,
       throw Error("choose_block_sizes: no loop over " + var);
     model::AnalyticModel am = model::build_analytic_model(
         cr.program.body, *focus, bs, probe_env, machine);
-    sizes[bs] = am.largest_fitting(2, std::max(2L, am.trip));
+    sizes[bs] = am.pick();
   }
   return sizes;
 }

@@ -3,23 +3,18 @@
 #pragma once
 
 #include "ir/iexpr.hpp"
-#include "lang/machine.hpp"
 #include "lang/parser.hpp"
 #include "model/model.hpp"
 
 namespace blk::lang {
 
-/// Choose a blocking factor for every BLOCK DO in `cr` from the machine
-/// model and return the parameter bindings (BS_<var> -> value), ready to
-/// merge into the interpreter's parameter environment.  Factors fixed in
-/// the source (BLOCK(n) DO) are passed through verbatim.
-[[nodiscard]] ir::Env choose_block_sizes(const CompileResult& cr,
-                                         const MachineModel& machine);
-
-/// Analytic-model chooser: size each BLOCK DO's factor so the blocked
-/// working set fits the effective cache fraction of `machine` (§6, the
-/// same model selectblock uses).  Unbound parameters are probed at
-/// `probe` (0: sized to overflow L1).  BLOCK(n) DO factors pass through.
+/// Choose a blocking factor for every BLOCK DO in `cr` and return the
+/// parameter bindings (BS_<var> -> value), ready to merge into the
+/// interpreter's parameter environment.  Each factor is sized so the
+/// blocked working set fits the effective cache fraction of `machine`
+/// (§6, the analytic model selectblock uses).  Unbound parameters are
+/// probed at `probe` (0: model::probe_size).  Factors fixed in the source
+/// (BLOCK(n) DO) pass through verbatim.
 [[nodiscard]] ir::Env choose_block_sizes(CompileResult& cr,
                                          const model::MachineParams& machine,
                                          long probe = 0);

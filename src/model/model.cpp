@@ -63,6 +63,17 @@ cachesim::CacheConfig parse_cache_config(const std::string& s) {
   return cfg;
 }
 
+long probe_size(const MachineParams& machine) {
+  const double target = 2.0 *
+                        static_cast<double>(machine.l1().size_bytes) /
+                        static_cast<double>(machine.element_bytes);
+  long probe = 16;
+  while (static_cast<double>(probe) * static_cast<double>(probe) < target &&
+         probe < 512)
+    probe += 16;
+  return probe;
+}
+
 long FootprintTerm::span(std::size_t dim, long ks, const ir::Env& env) const {
   const DimSpan& d = dims[dim];
   long s = 1 + d.ks_coef * (ks - 1) + d.fixed;
@@ -118,9 +129,13 @@ long AnalyticModel::largest_fitting(long lo, long hi) const {
   return best;
 }
 
+long AnalyticModel::pick() const {
+  return largest_fitting(2, std::max(2L, trip));
+}
+
 std::vector<long> AnalyticModel::candidates() const {
   const long hi = std::max(2L, trip);
-  const long base = largest_fitting(2, hi);
+  const long base = pick();
   std::set<long> set;
   for (long k : {base / 4, base / 2, base, base * 3 / 2, base * 2, base * 3,
                  base * 4})
@@ -136,8 +151,8 @@ AnalyticModel build_analytic_model(StmtList& root, Loop& focus,
   m.ks_name = ks_name;
   m.line_bytes = machine.l1().line_bytes;
   m.element_bytes = machine.element_bytes;
-  m.budget_bytes = machine.effective_fraction *
-                   static_cast<double>(machine.l1().size_bytes);
+  m.budget_bytes =
+      kEffectiveFraction * static_cast<double>(machine.l1().size_bytes);
 
   // Bind every loop variable of the nest to its lower bound, outermost
   // first, so symbolic extents (N - K, MIN(K+KS-1, N-1) - K + 1) evaluate

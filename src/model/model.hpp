@@ -24,20 +24,31 @@
 
 namespace blk::model {
 
+/// Share of L1 capacity the blocked working set may fill; the rest is
+/// headroom for interference misses.
+inline constexpr double kEffectiveFraction = 0.75;
+
 /// Memory-hierarchy description consumed by the selector.  `levels[0]` is
 /// the cache whose capacity bounds the analytic footprint; `latencies`
 /// (one per level plus memory) switches the sweep metric from L1 miss
 /// ratio to AMAT when its arity matches.
 struct MachineParams {
-  std::vector<cachesim::CacheConfig> levels = {cachesim::CacheConfig{}};
+  /// Default: one CacheConfig{} level.  (Sized, not brace-initialized:
+  /// GCC 12 warns maybe-uninitialized on the braced default.)
+  std::vector<cachesim::CacheConfig> levels =
+      std::vector<cachesim::CacheConfig>(1);
   std::vector<double> latencies;   ///< empty: rank by miss ratio
-  double effective_fraction = 0.75;  ///< usable capacity (interference)
   std::size_t element_bytes = 8;   ///< REAL*8
 
   [[nodiscard]] const cachesim::CacheConfig& l1() const {
     return levels.front();
   }
 };
+
+/// The size every unbound parameter is probed at: the arrays must
+/// overflow L1 or every candidate looks equally good, so grow from 16 in
+/// steps of 16 until one N x N array is twice the L1 size (capped at 512).
+[[nodiscard]] long probe_size(const MachineParams& machine);
 
 /// Parse "64K/64B/4" (size/line/associativity; K and M suffixes accepted,
 /// the B on the line size optional) into a cache geometry.  Throws
@@ -77,7 +88,7 @@ struct AnalyticModel {
   ir::Env env;               ///< probe params + outer-loop lower bounds
   std::size_t line_bytes = 64;
   std::size_t element_bytes = 8;
-  double budget_bytes = 0;   ///< effective_fraction * L1 capacity
+  double budget_bytes = 0;   ///< kEffectiveFraction * L1 capacity
   long trip = 0;             ///< focus-loop trip count at the probe size
 
   /// Bytes resident while one KS-block is processed (line-granular in the
@@ -88,8 +99,11 @@ struct AnalyticModel {
   /// monotone in ks); returns lo when even that overflows.
   [[nodiscard]] long largest_fitting(long lo, long hi) const;
 
-  /// The TSS-style choice plus neighbours {ks/4, ks/2, ks, 3ks/2, 2ks,
-  /// 3ks, 4ks}, clamped to [2, trip] and deduplicated, ascending.
+  /// The TSS-style choice: the largest fitting ks in [2, max(2, trip)].
+  [[nodiscard]] long pick() const;
+
+  /// pick() plus neighbours {ks/4, ks/2, ks, 3ks/2, 2ks, 3ks, 4ks},
+  /// clamped to [2, max(2, trip)] and deduplicated, ascending.
   [[nodiscard]] std::vector<long> candidates() const;
 };
 

@@ -18,6 +18,16 @@ namespace blk::model {
 
 namespace {
 
+/// Input seed of the VM-recorded traces (data-dependent programs).
+constexpr std::uint64_t kSeed = 42;
+
+/// Sampling validation replays one candidate's *full* trace; when that
+/// trace would exceed this many records (estimated as sampled records * k)
+/// the probe is skipped with a note — the tolerance is then carried over
+/// from smaller-probe runs instead of being re-measured at a size where a
+/// full replay is infeasible.
+constexpr std::uint64_t kValidateMaxRecords = 256u << 20;
+
 /// Record-once/replay-many: compressed traces out of the TraceStore,
 /// sharded deterministic replay per candidate.
 class Sweep {
@@ -25,7 +35,7 @@ class Sweep {
   Sweep(const ir::Program& blocked, const SweepOptions& opt)
       : prog_(blocked),
         opt_(opt),
-        store_(opt.store ? *opt.store : trace::TraceStore::process()),
+        store_(opt.store ? *opt.store : own_store_),
         program_hash_(trace::hash_program(blocked)),
         env_hash_(trace::hash_env(opt.probe_params)),
         eligible_(trace::synth_eligible(blocked)) {}
@@ -58,14 +68,14 @@ class Sweep {
       // probe size is known without the (expensive) full walk.
       const std::uint64_t full_records =
           sampled.trace->records * static_cast<std::uint64_t>(k);
-      if (full_records > opt_.sample_validate_max_records) {
+      if (full_records > kValidateMaxRecords) {
         // A full replay at this size is exactly what sampling exists to
         // avoid; keep sampling but say the tolerance wasn't re-measured.
         result.sample_every = k;
         result.note = "sampling validation skipped: full probe trace has ~" +
                       std::to_string(full_records) +
                       " records (cap " +
-                      std::to_string(opt_.sample_validate_max_records) +
+                      std::to_string(kValidateMaxRecords) +
                       "); tolerance carried over from smaller probes";
         return run_candidates(result, ropt, k, use_amat);
       }
@@ -168,9 +178,7 @@ class Sweep {
     key.program_hash = program_hash_;
     key.env_hash = env_hash_;
     key.ks = ks;
-    key.seed = opt_.seed;
     key.sample_every = sample_every;
-    key.sample_depth = opt_.sample_depth;
     if (auto cached = store_.get(key)) {
       ++hits_;
       return {std::move(cached), eligible_};
@@ -185,7 +193,6 @@ class Sweep {
       trace::TraceEncoder enc(t);
       trace::SynthOptions so;
       so.sample_every = sample_every;
-      so.sample_depth = opt_.sample_depth;
       (void)trace::synthesize(prog_, env, enc, so);
       enc.finish();
     } else {
@@ -194,7 +201,7 @@ class Sweep {
       // the factor is a runtime scalar, so each candidate is a store write
       // plus a re-run, never a recompilation.
       if (!engine_) engine_.emplace(prog_, opt_.probe_params);
-      interp::seed_store(engine_->store(), opt_.seed);
+      interp::seed_store(engine_->store(), kSeed);
       for (auto& [name, value] : engine_->store().scalars) value = 0.0;
       engine_->store().scalars[opt_.ks_scalar] = static_cast<double>(ks);
       trace::TraceEncoder enc(t);
@@ -208,6 +215,7 @@ class Sweep {
 
   const ir::Program& prog_;
   const SweepOptions& opt_;
+  trace::TraceStore own_store_;  ///< used when the caller passes none
   trace::TraceStore& store_;
   std::uint64_t program_hash_;
   std::uint64_t env_hash_;

@@ -4,13 +4,13 @@
 // the program's access pattern is affine (one RUNA op per inner loop
 // instance, megabytes where raw records are gigabytes), or recorded
 // through the VM into the compressed encoder otherwise — and kept in a
-// process-wide TraceStore keyed by (program, params, ks, seed, sampling).
-// Replays run sharded across the worker pool with a deterministic merge,
-// so re-tuning against a different cache geometry never re-executes the
-// program.  Structural sampling (every k-th block instance) is validated
-// against a full replay of one probe candidate and falls back to full
-// tracing when the sampled L1 miss ratio disagrees beyond
-// `sample_tolerance`.
+// TraceStore keyed by (program, params, ks, sampling).  Replays run
+// sharded across the worker pool with a deterministic merge; a caller
+// that passes its own store across sweeps re-tunes against a different
+// cache geometry without re-executing the program.  Structural sampling
+// (every k-th block instance) is validated against a full replay of one
+// probe candidate and falls back to full tracing when the sampled L1
+// miss ratio disagrees beyond `sample_tolerance`.
 //
 // The candidate with the lowest L1 miss ratio (or AMAT, when per-level
 // latencies are supplied) wins, and results are bit-identical at any
@@ -34,23 +34,16 @@ struct SweepOptions {
   std::vector<cachesim::CacheConfig> levels = {cachesim::CacheConfig{}};
   std::vector<double> latencies;  ///< num_levels+1 entries switch to AMAT
   unsigned workers = 0;           ///< 0: hardware concurrency (capped)
-  std::uint64_t seed = 42;
-  /// Keep every `sample_every`-th instance of the depth-`sample_depth`
-  /// loops (1 = full trace).  Only honoured when the program is trace-
+  /// Keep every `sample_every`-th block instance (trace/synth.hpp's
+  /// sample units; 1 = full trace).  Only honoured when the program is trace-
   /// synthesizable; validated against a full replay before use.
   long sample_every = 1;
-  int sample_depth = 1;
   /// Max |sampled - full| L1 miss-ratio disagreement on the validation
   /// candidate before sampling is abandoned for this sweep.
   double sample_tolerance = 0.02;
-  /// Validation replays one candidate's *full* trace; when that trace
-  /// would exceed this many records (estimated as sampled records * k)
-  /// the probe is skipped with a note — the tolerance is then carried
-  /// over from smaller-probe runs instead of being re-measured at a size
-  /// where a full replay is infeasible.
-  std::uint64_t sample_validate_max_records = 256u << 20;
   std::uint64_t shard_records = 4u << 20;  ///< replay shard target
-  trace::TraceStore* store = nullptr;      ///< nullptr: process-wide store
+  /// Traces kept across sweeps; nullptr: a store private to this sweep.
+  trace::TraceStore* store = nullptr;
 };
 
 struct CandidateResult {

@@ -1,10 +1,8 @@
 #include "native/engine.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "ir/codegen.hpp"
 #include "ir/error.hpp"
@@ -108,38 +106,6 @@ void Kernel::call(const long* params, double* const* arrays,
   ++timings_.runs;
   timings_.run_seconds += s;
   record_run(timings_.key, s);
-}
-
-void warm(const std::vector<const ir::Program*>& programs, int workers,
-          KernelCache* cache) {
-  if (programs.empty()) return;
-  if (!available())
-    throw Error("native: warm() needs a host C toolchain");
-  unsigned n = workers > 0 ? static_cast<unsigned>(workers)
-                           : std::thread::hardware_concurrency();
-  if (n == 0) n = 2;
-  n = std::min<unsigned>(n, static_cast<unsigned>(programs.size()));
-
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::string errors;
-  std::vector<std::thread> pool;
-  pool.reserve(n);
-  for (unsigned w = 0; w < n; ++w) {
-    pool.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1); i < programs.size();
-           i = next.fetch_add(1)) {
-        try {
-          Kernel k(*programs[i], "blk_kernel", cache);
-        } catch (const std::exception& e) {
-          std::lock_guard<std::mutex> lock(err_mu);
-          errors += std::string(e.what()) + "\n";
-        }
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (!errors.empty()) throw Error("native: warm() failed:\n" + errors);
 }
 
 Stats stats() {

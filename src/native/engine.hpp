@@ -94,15 +94,6 @@ class Kernel {
   KernelTimings timings_;
 };
 
-/// Compile `programs` in parallel on `workers` threads (0 = hardware
-/// concurrency), sharing the kernel cache; per-entry file locks make
-/// concurrent identical compiles collapse into one.  Errors are collected
-/// and rethrown as one blk::Error after all workers finish.  Use before a
-/// benchmark or sweep that will construct Kernels for the same programs:
-/// construction then hits the warm cache.
-void warm(const std::vector<const ir::Program*>& programs, int workers = 0,
-          KernelCache* cache = nullptr);
-
 /// Aggregate JIT counters since process start (or reset_stats()).
 struct Stats {
   std::uint64_t kernels = 0;      ///< Kernel constructions

@@ -1,7 +1,4 @@
-// Stage functions and composite drivers of the pass manager, plus the
-// transform/blocking.hpp driver entry points (kept as thin wrappers over
-// this layer so every existing caller and golden test sees identical
-// behavior).
+// Stage functions and composite drivers of the pass manager.
 #include "pm/drivers.hpp"
 
 #include <algorithm>
@@ -10,6 +7,8 @@
 
 #include "ir/error.hpp"
 #include "model/sweep.hpp"
+#include "transform/blocking.hpp"
+#include "transform/distribute.hpp"
 #include "transform/ifinspect.hpp"
 #include "transform/instrument.hpp"
 #include "transform/interchange.hpp"
@@ -23,11 +22,8 @@ namespace blk::pm::detail {
 
 using namespace blk::ir;
 using analysis::Assumptions;
-using transform::AutoBlockResult;
-using transform::ConvOptResult;
-using transform::GivensOptResult;
 
-void step_stripmine(PipelineContext& ctx, IExprPtr block, bool exact) {
+void step_stripmine(PipelineContext& ctx, IExprPtr block) {
   if (!block) block = ctx.default_block;
   if (!block)
     throw Error("stripmine: no block size (pass b=... or set a default)");
@@ -35,8 +31,7 @@ void step_stripmine(PipelineContext& ctx, IExprPtr block, bool exact) {
   // specs like "stripmine(b=BS)" work on programs that never mention BS.
   if (block->kind == IKind::Var && !ctx.prog.has_param(block->name))
     ctx.prog.param(block->name);
-  Loop& strip = transform::strip_mine(ctx.prog, ctx.target(), std::move(block),
-                                      exact);
+  Loop& strip = transform::strip_mine(ctx.prog, ctx.target(), std::move(block));
   ctx.strip = &strip;
   ctx.split_report.reset();
   ctx.pieces.clear();
@@ -145,41 +140,27 @@ std::vector<Loop*> all_loops(StmtList& body) {
 
 model::BlockChoice& step_selectblock(PipelineContext& ctx,
                                      const SelectBlockOptions& opt) {
+  const std::string ks_name = "KS";
   model::MachineParams machine;
   if (!ctx.machine.empty()) machine.levels = ctx.machine;
   machine.latencies = ctx.latencies;
-  machine.effective_fraction =
-      static_cast<double>(opt.fraction_pct) / 100.0;
-
-  // Probe size: the arrays must overflow L1 or every candidate looks
-  // equally good; 2x capacity in one N*N array is comfortably past it.
-  long probe = opt.probe;
-  if (probe <= 0) {
-    const double target =
-        2.0 * static_cast<double>(machine.l1().size_bytes) /
-        static_cast<double>(machine.element_bytes);
-    probe = 16;
-    while (static_cast<double>(probe) * static_cast<double>(probe) < target &&
-           probe < 512)
-      probe += 16;
-  }
+  const long probe = opt.probe > 0 ? opt.probe : model::probe_size(machine);
 
   ir::Env probe_env;
   for (const std::string& p : ctx.prog.params()) {
-    if (p == opt.ks_name) continue;
+    if (p == ks_name) continue;
     auto it = ctx.resolved.find(p);
     probe_env[p] = it != ctx.resolved.end() ? it->second : probe;
   }
 
   Loop& focus = ctx.target();
   model::AnalyticModel am = model::build_analytic_model(
-      ctx.prog.body, focus, opt.ks_name, probe_env, machine);
+      ctx.prog.body, focus, ks_name, probe_env, machine);
 
   model::BlockChoice choice;
-  choice.ks_name = opt.ks_name;
   choice.probe = probe;
   choice.budget_bytes = am.budget_bytes;
-  choice.analytic_ks = am.largest_fitting(2, std::max(2L, am.trip));
+  choice.analytic_ks = am.pick();
   choice.analytic_footprint_bytes = am.footprint_bytes(choice.analytic_ks);
   choice.candidates = am.candidates();
   choice.ks = choice.analytic_ks;
@@ -187,7 +168,7 @@ model::BlockChoice& step_selectblock(PipelineContext& ctx,
   // The full-block view (focus + ks - 1 <= focus.ub) steers the later
   // split exactly as the hand-supplied --assume hints did; splitting
   // itself stays unconditionally safe on ragged blocks.
-  ctx.hints.assert_le(isub(iadd(ivar(focus.var), ivar(opt.ks_name)),
+  ctx.hints.assert_le(isub(iadd(ivar(focus.var), ivar(ks_name)),
                            iconst(1)),
                       focus.ub);
 
@@ -209,13 +190,13 @@ model::BlockChoice& step_selectblock(PipelineContext& ctx,
       cctx.commutativity = ctx.commutativity;
       cctx.focus = clone_focus;
       analysis::ScopedAnalysisManager sam(cctx.am);
-      AutoBlockResult blocked = auto_block_impl(cctx, ivar(opt.ks_name));
+      AutoBlockResult blocked = auto_block_impl(cctx, ivar(ks_name));
       if (!blocked.blocked)
         throw Error("selectblock: the probe clone did not block");
 
       // The factor becomes a runtime scalar of the clone: the sweep's one
       // ExecEngine reads it per run instead of recompiling per candidate.
-      clone.scalar(opt.ks_name);
+      clone.scalar(ks_name);
 
       model::SweepOptions sopt;
       std::set<long> ks_set(choice.candidates.begin(),
@@ -224,14 +205,12 @@ model::BlockChoice& step_selectblock(PipelineContext& ctx,
         for (long k : {4L, 6L, 8L, 12L, 16L, 24L, 32L, 48L, 64L, 96L, 128L})
           if (k >= 2 && k <= am.trip) ks_set.insert(k);
       sopt.candidates.assign(ks_set.begin(), ks_set.end());
-      sopt.ks_scalar = opt.ks_name;
+      sopt.ks_scalar = ks_name;
       sopt.probe_params = probe_env;
       sopt.levels = machine.levels;
       sopt.latencies = machine.latencies;
       sopt.workers = opt.workers;
-      sopt.seed = opt.seed;
       sopt.sample_every = opt.sample_every;
-      sopt.sample_tolerance = opt.sample_tolerance;
       model::SweepResult sw = model::sweep_block_sizes(clone, sopt);
 
       choice.swept = true;
@@ -276,8 +255,8 @@ model::BlockChoice& step_selectblock(PipelineContext& ctx,
     choice.note = "sweep skipped: focus trip count too small at probe";
   }
 
-  ctx.resolved[opt.ks_name] = choice.ks;
-  if (!ctx.default_block) ctx.default_block = ivar(opt.ks_name);
+  ctx.resolved[ks_name] = choice.ks;
+  if (!ctx.default_block) ctx.default_block = ivar(ks_name);
   ctx.block_choice = std::move(choice);
   return *ctx.block_choice;
 }
@@ -286,10 +265,8 @@ AutoBlockResult auto_block_impl(PipelineContext& ctx, IExprPtr block) {
   AutoBlockResult result;
   int interchanges_before = ctx.interchanges;
 
-  // 1. Strip-mine (with the MIN guard, so the result is exact for ragged
-  //    trailing blocks).
-  step_stripmine(ctx, std::move(block), /*exact=*/false);
-  result.strip = ctx.strip;
+  // 1. Strip-mine.
+  step_stripmine(ctx, std::move(block));
 
   // 2. Procedure IndexSetSplit against the strip loop's recurrences.  The
   //    hints (e.g. the full-block view K+BS-1 <= N-1) steer only *where*
@@ -303,7 +280,6 @@ AutoBlockResult auto_block_impl(PipelineContext& ctx, IExprPtr block) {
   result.pieces = ctx.pieces;
   result.blocked =
       ctx.pieces.size() > 1 || ctx.split_report->distributable;
-  result.strip = ctx.strip;
 
   // 4. Sink the strip loop in every piece that forms a perfect nest.
   step_interchange(ctx);
@@ -330,7 +306,7 @@ AutoBlockResult auto_block_plus_impl(PipelineContext& ctx, IExprPtr block,
 ConvOptResult optimize_convolution_impl(PipelineContext& ctx, long unroll) {
   ir::Program& p = ctx.prog;
   if (p.body.empty() || p.body[0]->kind() != SKind::Loop)
-    throw Error("optimize_convolution: expected an outer loop");
+    throw Error("optconv: expected an outer loop");
   ConvOptResult result;
 
   // 1. De-trapezoidalize.
@@ -364,13 +340,13 @@ ConvOptResult optimize_convolution_impl(PipelineContext& ctx, long unroll) {
   return result;
 }
 
-GivensOptResult optimize_givens_impl(PipelineContext& ctx) {
+void optimize_givens_impl(PipelineContext& ctx) {
   ir::Program& p = ctx.prog;
   if (p.body.empty() || p.body[0]->kind() != SKind::Loop)
-    throw Error("optimize_givens: expected an outer column loop");
+    throw Error("optgivens: expected an outer column loop");
   Loop& l = p.body[0]->as_loop();
   if (l.body.size() != 1 || l.body[0]->kind() != SKind::Loop)
-    throw Error("optimize_givens: expected the guarded row loop inside");
+    throw Error("optgivens: expected the guarded row loop inside");
   Loop& j = l.body[0]->as_loop();
 
   // 1. Preparation + inspection (Fig. 10's first half).
@@ -379,85 +355,13 @@ GivensOptResult optimize_givens_impl(PipelineContext& ctx) {
   ctx.range_loop = insp.range_loop;
   ctx.executor = insp.executor;
 
-  GivensOptResult result;
   // 2. Sink the executor's row loop below the update loop: the executor
   //    (DO J = JLB(JN), JUB(JN)) perfectly nests the K update loop; two
-  //    rectangular interchanges make K outermost of the JN/J pair.
+  //    rectangular interchanges make K outermost of the JN/J pair, and
+  //    ctx.range_loop (in place) is now the K loop.
   transform::interchange(p.body, *insp.executor);
   transform::interchange(p.body, *insp.range_loop);
-  result.interchanges = 2;
   ctx.interchanges += 2;
-  result.column_loop = insp.range_loop;  // now the K loop (in place)
-  return result;
 }
-
-namespace {
-
-/// Install a fresh caching AnalysisManager unless the caller (a pipeline
-/// run, a test fixture) already has one current on this thread — the
-/// drivers get memoized analyses either way.
-struct EnsureManager {
-  std::optional<analysis::AnalysisManager> own;
-  std::optional<analysis::ScopedAnalysisManager> scope;
-  EnsureManager() {
-    if (!analysis::current_analysis_manager()) {
-      own.emplace();
-      scope.emplace(*own);
-    }
-  }
-};
-
-}  // namespace
 
 }  // namespace blk::pm::detail
-
-// ---------------------------------------------------------------------------
-// transform/blocking.hpp driver entry points: thin wrappers over the pass-
-// manager layer (same stage functions the registry binds, so behavior and
-// printed derivations are identical to the pre-pass-manager drivers).
-
-namespace blk::transform {
-
-AutoBlockResult auto_block(ir::Program& p, ir::Loop& loop,
-                           ir::IExprPtr block,
-                           const analysis::Assumptions& hints,
-                           bool use_commutativity) {
-  pm::detail::EnsureManager mgr;
-  pm::PipelineContext ctx(p, hints);
-  ctx.focus = &loop;
-  ctx.commutativity = use_commutativity;
-  return pm::detail::auto_block_impl(ctx, std::move(block));
-}
-
-int register_block(ir::Program& p, ir::Loop& loop, long factor,
-                   const analysis::Assumptions& hints) {
-  pm::detail::EnsureManager mgr;
-  pm::PipelineContext ctx(p, hints);
-  return pm::detail::step_register_block(ctx, loop, factor);
-}
-
-AutoBlockResult auto_block_plus(ir::Program& p, ir::Loop& loop,
-                                ir::IExprPtr block, long unroll,
-                                const analysis::Assumptions& hints,
-                                bool use_commutativity) {
-  pm::detail::EnsureManager mgr;
-  pm::PipelineContext ctx(p, hints);
-  ctx.focus = &loop;
-  ctx.commutativity = use_commutativity;
-  return pm::detail::auto_block_plus_impl(ctx, std::move(block), unroll);
-}
-
-ConvOptResult optimize_convolution(ir::Program& p, long unroll,
-                                   const analysis::Assumptions& hints) {
-  pm::detail::EnsureManager mgr;
-  pm::PipelineContext ctx(p, hints);
-  return pm::detail::optimize_convolution_impl(ctx, unroll);
-}
-
-GivensOptResult optimize_givens(ir::Program& p) {
-  pm::detail::EnsureManager mgr;
-  pm::PipelineContext ctx(p);
-  return pm::detail::optimize_givens_impl(ctx);
-}
-
-}  // namespace blk::transform

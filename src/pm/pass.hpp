@@ -87,8 +87,7 @@ struct Pipeline {
 /// State threaded through a pipeline run.  Structural passes target the
 /// *focus* loop (default: the program's first top-level loop) and leave
 /// their products — the strip loop, the split report, the distributed
-/// pieces — for downstream stages, mirroring how the hand-written drivers
-/// passed results between steps.
+/// pieces — for downstream stages.
 struct PipelineContext {
   explicit PipelineContext(ir::Program& program,
                            analysis::Assumptions driver_hints = {})
@@ -99,14 +98,12 @@ struct PipelineContext {
 
   /// Semantic knowledge armed for the whole pipeline (§5.2): naming
   /// `commutativity` on any stage arms the pattern matcher for every
-  /// dependence decision, exactly as auto_block(use_commutativity=true)
-  /// did — commutativity is a fact about the program, not a per-pass
-  /// tuning knob.
+  /// dependence decision — commutativity is a fact about the program, not
+  /// a per-pass tuning knob.
   bool commutativity = false;
 
   ir::Loop* focus = nullptr;       ///< target loop (null: first top-level)
   ir::IExprPtr default_block;      ///< stripmine's `b` when not given
-  long default_unroll = 2;         ///< unrolljam's `u` when not given
 
   // Stage products.
   ir::Loop* strip = nullptr;               ///< innermost strip loop

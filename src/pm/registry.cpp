@@ -9,6 +9,7 @@
 #include "ir/error.hpp"
 #include "pm/drivers.hpp"
 #include "pm/pass.hpp"
+#include "transform/blocking.hpp"
 #include "transform/fuse.hpp"
 #include "transform/ifinspect.hpp"
 #include "transform/interchange.hpp"
@@ -22,6 +23,10 @@ namespace blk::pm {
 namespace {
 
 using namespace blk::ir;
+
+/// The unroll factor `u` of unrolljam, autoblockplus and registerblock
+/// when a spec leaves it out.
+constexpr long kDefaultUnroll = 2;
 
 /// Walk the tree in pre-order and return the `index`-th loop whose
 /// variable matches `var` (any loop when `var` is empty).
@@ -131,11 +136,9 @@ Registry::Registry() {
   add({.name = "stripmine",
        .doc = "strip-mine the target loop by b (§2.3 step 1)",
        .options = {{.name = "b", .kind = OptKind::Expr,
-                    .doc = "block size: integer or parameter name"},
-                   {.name = "exact", .kind = OptKind::Flag,
-                    .doc = "omit the MIN guard (caller guarantees b | trip)"}},
+                    .doc = "block size: integer or parameter name"}},
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
-         detail::step_stripmine(ctx, inv.expr("b"), inv.flag("exact"));
+         detail::step_stripmine(ctx, inv.expr("b"));
        }});
 
   add({.name = "split",
@@ -222,11 +225,11 @@ Registry::Registry() {
   add({.name = "unrolljam",
        .doc = "unroll-and-jam the target loop by u",
        .options = {{.name = "u", .kind = OptKind::Int,
-                    .doc = "unroll factor (default: pipeline default, 2)"},
+                    .doc = "unroll factor (default 2)"},
                    {.name = "triangular", .kind = OptKind::Flag,
                     .doc = "use the §3.1 triangular jam"}},
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
-         long u = inv.int_or("u", ctx.default_unroll);
+         long u = inv.int_or("u", kDefaultUnroll);
          if (inv.flag("triangular"))
            transform::unroll_and_jam_triangular(ctx.prog.body, ctx.target(),
                                                 u, &ctx.hints);
@@ -288,19 +291,14 @@ Registry::Registry() {
        }});
 
   add({.name = "selectblock",
-       .doc = "choose the blocking factor from the machine model (§6): "
-              "analytic working-set candidates refined by a cache-"
-              "simulator trace sweep; resolves the symbolic factor and "
-              "adds the full-block hint for later stages",
+       .doc = "choose the blocking factor KS from the machine model (§6): "
+              "analytic working-set candidates (75% of L1) refined by a "
+              "cache-simulator trace sweep; resolves KS and adds the "
+              "full-block hint for later stages",
        .composite = true,
-       .options = {{.name = "name", .kind = OptKind::Str,
-                    .doc = "symbolic factor name (default KS)"},
-                   {.name = "probe", .kind = OptKind::Int,
+       .options = {{.name = "probe", .kind = OptKind::Int,
                     .doc = "parameter probe size (default: sized to "
                            "overflow L1)"},
-                   {.name = "fraction", .kind = OptKind::Int,
-                    .doc = "effective cache fraction in percent "
-                           "(default 75)"},
                    {.name = "nosweep", .kind = OptKind::Flag,
                     .doc = "analytic choice only, no empirical sweep"},
                    {.name = "grid", .kind = OptKind::Flag,
@@ -308,29 +306,20 @@ Registry::Registry() {
                            "evidence for --auto-b)"},
                    {.name = "workers", .kind = OptKind::Int,
                     .doc = "simulator threads (default: auto)"},
-                   {.name = "seed", .kind = OptKind::Int,
-                    .doc = "input seed for the sweep (default 42)"},
                    {.name = "sample", .kind = OptKind::Int,
                     .doc = "replay every k-th block instance (validated "
-                           "against a full replay; default 1 = full)"},
-                   {.name = "sampletol", .kind = OptKind::Int,
-                    .doc = "sampling tolerance in basis points of L1 "
-                           "miss ratio (default 200 = 0.02)"}},
+                           "against a full replay within 0.02 L1 miss "
+                           "ratio; default 1 = full)"}},
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
          detail::SelectBlockOptions opt;
-         opt.ks_name = inv.str_or("name", "KS");
          opt.probe = inv.int_or("probe", 0);
-         opt.fraction_pct = inv.int_or("fraction", 75);
          opt.sweep = !inv.flag("nosweep");
          opt.grid = inv.flag("grid");
          opt.workers = static_cast<unsigned>(inv.int_or("workers", 0));
-         opt.seed = static_cast<std::uint64_t>(inv.int_or("seed", 42));
          opt.sample_every = inv.int_or("sample", 1);
-         opt.sample_tolerance =
-             static_cast<double>(inv.int_or("sampletol", 200)) / 10000.0;
          const model::BlockChoice& c = detail::step_selectblock(ctx, opt);
          ctx.stage_note =
-             opt.ks_name + "=" + std::to_string(c.ks) + " (analytic " +
+             c.ks_name + "=" + std::to_string(c.ks) + " (analytic " +
              std::to_string(c.analytic_ks) +
              (c.swept ? ", swept " + std::to_string(c.table.size()) +
                             " candidates"
@@ -481,12 +470,12 @@ Registry::Registry() {
        .options = {{.name = "b", .kind = OptKind::Expr,
                     .doc = "block size: integer or parameter name"},
                    {.name = "u", .kind = OptKind::Int,
-                    .doc = "unroll factor (default: pipeline default, 2)"},
+                    .doc = "unroll factor (default 2)"},
                    {.name = "commutativity", .kind = OptKind::Flag,
                     .doc = "arm the §5.2 pattern matcher"}},
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
          auto r = detail::auto_block_plus_impl(
-             ctx, inv.expr("b"), inv.int_or("u", ctx.default_unroll));
+             ctx, inv.expr("b"), inv.int_or("u", kDefaultUnroll));
          ctx.stage_note = std::string(r.blocked ? "blocked" : "not blocked") +
                           ", " + std::to_string(ctx.scalar_groups) +
                           " scalar groups";
@@ -497,10 +486,10 @@ Registry::Registry() {
               "demands) and scalar-replace the innermost loops",
        .composite = true,
        .options = {{.name = "u", .kind = OptKind::Int,
-                    .doc = "unroll factor (default: pipeline default, 2)"}},
+                    .doc = "unroll factor (default 2)"}},
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
          int groups = detail::step_register_block(
-             ctx, ctx.target(), inv.int_or("u", ctx.default_unroll));
+             ctx, ctx.target(), inv.int_or("u", kDefaultUnroll));
          ctx.stage_note = std::to_string(groups) + " scalar groups";
        }});
 

@@ -33,7 +33,7 @@ namespace blk::pm {
 [[nodiscard]] Pipeline parse_pipeline(std::string_view spec);
 
 /// Parse a fact like "K+BS-1<=N-1" or "N>=1" (names, integer literals and
-/// +/- chains around `<=` / `>=`) into `ctx`.  Shared by blk-verify's and
+/// +/- chains around `<=` / `>=`) into `ctx`.  Shared by blk-lint's and
 /// blk-opt's `--assume` flags.  Throws blk::Error on malformed input.
 void add_fact(analysis::Assumptions& ctx, std::string_view text);
 

@@ -303,7 +303,6 @@ namespace {
 struct Engine {
   Program& p;
   std::span<Checker* const> checkers;
-  const EngineOptions& opt;
 
   std::vector<Loop*> loops;
   std::vector<std::string> path;
@@ -314,7 +313,7 @@ struct Engine {
 
   Engine(Program& prog, std::span<Checker* const> ch,
          const EngineOptions& o)
-      : p(prog), checkers(ch), opt(o) {
+      : p(prog), checkers(ch) {
     ctxs.push_back(o.ctx ? *o.ctx : Assumptions{});
   }
 
@@ -425,8 +424,9 @@ struct Engine {
         // Fixpoint: silent passes make writes from earlier iterations
         // visible to reads at the top of the body.  Regions are expanded
         // over all enclosing loops, so the state is iteration-independent
-        // and converges in at most two passes; the cap is a safety net.
-        for (int i = 0; i < opt.max_iterations; ++i) {
+        // and converges in at most two passes; the cap of four is a
+        // safety net.
+        for (int i = 0; i < 4; ++i) {
           bool saved_dirty = dirty;
           dirty = false;
           walk(l.body, /*reporting=*/false);

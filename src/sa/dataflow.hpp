@@ -115,7 +115,6 @@ class Checker {
 
 struct EngineOptions {
   const analysis::Assumptions* ctx = nullptr;  ///< extra symbolic facts
-  int max_iterations = 4;  ///< fixpoint cap per loop body (safety net)
 };
 
 /// Run the forward engine over `p`, firing every checker's hooks.

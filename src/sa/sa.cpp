@@ -8,12 +8,9 @@ namespace blk::sa {
 SaResult analyze(ir::Program& p, const SaOptions& opt) {
   SaResult out;
   out.report = verify::lint(p, {.ctx = opt.ctx, .pedantic = opt.pedantic});
-  if (opt.certify) {
-    out.verdicts = certify(p, {.ctx = opt.ctx});
-    out.report.merge(verdict_report(out.verdicts));
-    if (opt.races)
-      out.report.merge(check_races(p, out.verdicts, opt.ctx));
-  }
+  out.verdicts = certify(p, {.ctx = opt.ctx});
+  out.report.merge(verdict_report(out.verdicts));
+  out.report.merge(check_races(p, out.verdicts, opt.ctx));
   out.report.merge(check_dead_stores(p, {.ctx = opt.ctx}));
   out.report.merge(check_uninit_reads(p, {.ctx = opt.ctx}));
   out.report.canonicalize();

@@ -14,13 +14,11 @@ namespace blk::sa {
 struct SaOptions {
   const analysis::Assumptions* ctx = nullptr;
   bool pedantic = false;  ///< forwarded to verify::lint
-  bool certify = true;    ///< include per-loop verdict notes
-  bool races = true;      ///< re-check parallel verdicts independently
 };
 
 struct SaResult {
   verify::Report report;
-  CertifyResult verdicts;  ///< empty when opt.certify is false
+  CertifyResult verdicts;
 };
 
 /// Run every analysis over `p`.  The report is canonicalized (sorted,

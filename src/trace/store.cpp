@@ -78,9 +78,4 @@ void TraceStore::clear() {
   bytes_ = 0;
 }
 
-TraceStore& TraceStore::process() {
-  static TraceStore store;
-  return store;
-}
-
 }  // namespace blk::trace

@@ -1,14 +1,13 @@
-// Record-once / replay-many: a process-wide cache of encoded traces.
+// Record-once / replay-many: a cache of encoded traces.
 //
 // A trace is a pure function of (program text, blocking factor, parameter
-// bindings, seed, sampling options).  The blocking-factor sweep asks for
-// the same traces every time a client re-tunes — the kernel-compilation
-// service re-runs selectblock per client cache geometry, and the *trace*
-// does not depend on the geometry at all.  So traces are keyed and kept:
-// the first sweep records (or synthesizes) each candidate's trace once;
-// every later sweep against any hierarchy replays straight from the
-// store, skipping VM execution entirely.  Compressed traces are megabytes
-// where raw ones are gigabytes, which is what makes retention viable; a
+// bindings, sampling stride) — it does not depend on the cache geometry.
+// So traces are keyed and kept: a sweep records (or synthesizes) each
+// candidate's trace once, and a sampled sweep's validation probe reuses
+// the full trace it already holds.  A caller that passes one store to
+// several sweeps re-tunes against any hierarchy straight from the store,
+// skipping VM execution entirely.  Compressed traces are megabytes where
+// raw ones are gigabytes, which is what makes retention viable; a
 // byte-capped LRU bounds the footprint regardless.
 #pragma once
 
@@ -29,9 +28,7 @@ struct TraceKey {
   std::uint64_t program_hash = 0;  ///< FNV-1a of the printed program
   std::uint64_t env_hash = 0;      ///< FNV-1a over sorted (name, value)
   long ks = 0;                     ///< blocking-factor binding (0 if none)
-  std::uint64_t seed = 0;
   long sample_every = 1;
-  int sample_depth = 1;
 
   [[nodiscard]] auto operator<=>(const TraceKey&) const = default;
 };
@@ -69,9 +66,6 @@ class TraceStore {
   [[nodiscard]] Stats stats() const;
 
   void clear();
-
-  /// Shared per-process instance (the sweep's default).
-  [[nodiscard]] static TraceStore& process();
 
  private:
   struct Entry {

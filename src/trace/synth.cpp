@@ -161,9 +161,12 @@ void collect_rhs_refs(const VExpr& e, const interp::Store& store,
   }
 }
 
+/// Loop depth whose iterations are sample units (0 = outermost).
+constexpr int kSampleDepth = 1;
+
 class Synthesizer {
  public:
-  Synthesizer(const Program& p, const ir::Env& params, TraceEncoder* enc,
+  Synthesizer(const Program& p, const ir::Env& params, TraceEncoder& enc,
               const SynthOptions& opt)
       : program_(p),
         enc_(enc),
@@ -172,8 +175,6 @@ class Synthesizer {
         env_(params) {
     if (opt_.sample_every < 1)
       throw Error("synthesize: sample_every must be >= 1");
-    if (opt_.sample_depth < 0)
-      throw Error("synthesize: sample_depth must be >= 0");
   }
 
   SynthStats run() {
@@ -183,7 +184,7 @@ class Synthesizer {
 
  private:
   const Program& program_;
-  TraceEncoder* enc_;  ///< null: count records only (estimate_records)
+  TraceEncoder& enc_;
   SynthOptions opt_;
   interp::Store store_;
   ir::Env env_;  ///< params + live loop variables
@@ -215,7 +216,7 @@ class Synthesizer {
   void emit_assign(const Assign& a) {
     for (const Ref& r : refs_of(a)) {
       ++stats_.records;
-      if (enc_) enc_->append(ref_addr(r), r.is_write);
+      enc_.append(ref_addr(r), r.is_write);
     }
   }
 
@@ -275,7 +276,7 @@ class Synthesizer {
       had = true;
     }
 
-    const bool sampling = opt_.sample_every > 1 && depth == opt_.sample_depth;
+    const bool sampling = opt_.sample_every > 1 && depth == kSampleDepth;
     if (fast_eligible(l)) {
       fast_loop(l, lb, step, trips, sampling);
     } else {
@@ -334,7 +335,7 @@ class Synthesizer {
         }
     }
     stats_.records += slot_scratch_.size() * kept;
-    if (enc_) enc_->append_run_affine(slot_scratch_, kept);
+    enc_.append_run_affine(slot_scratch_, kept);
   }
 };
 
@@ -344,15 +345,7 @@ SynthStats synthesize(const Program& p, const ir::Env& params,
                       TraceEncoder& enc, const SynthOptions& opt) {
   if (auto reason = synth_ineligible_reason(p))
     throw Error("synthesize: program is not synthesizable: " + *reason);
-  return Synthesizer(p, params, &enc, opt).run();
-}
-
-std::uint64_t estimate_records(const Program& p, const ir::Env& params) {
-  if (auto reason = synth_ineligible_reason(p))
-    throw Error("estimate_records: program is not synthesizable: " + *reason);
-  SynthOptions full;
-  full.sample_every = 1;
-  return Synthesizer(p, params, nullptr, full).run().records;
+  return Synthesizer(p, params, enc, opt).run();
 }
 
 EncodedTrace synthesize_or_record(const Program& p, const ir::Env& params,
@@ -361,7 +354,7 @@ EncodedTrace synthesize_or_record(const Program& p, const ir::Env& params,
   if (synth_eligible(p)) {
     EncodedTrace t;
     TraceEncoder enc(t);
-    SynthStats st = Synthesizer(p, params, &enc, opt).run();
+    SynthStats st = Synthesizer(p, params, enc, opt).run();
     enc.finish();
     if (used_synth) *used_synth = true;
     if (stats) *stats = st;

@@ -19,11 +19,11 @@
 // record_trace) — same format, slower producer.
 //
 // Sampling: with sample_every = k > 1, only every k-th *sample unit* is
-// emitted.  A unit is one iteration of any loop at nesting depth
-// `sample_depth` (0 = outermost); statements shallower than that are
-// always emitted.  The unit counter is global across the program, so the
-// kept subset — and therefore the sampled trace — is a deterministic
-// function of (program, params, k, depth) alone.  Because kept iterations
+// emitted.  A unit is one iteration of any loop at nesting depth 1 (one
+// inside the outermost); statements shallower than that are always
+// emitted.  The unit counter is global across the program, so the kept
+// subset — and therefore the sampled trace — is a deterministic function
+// of (program, params, k) alone.  Because kept iterations
 // of an affine inner loop are themselves an arithmetic progression, a
 // sampled instance is still one RUNA op with the stride scaled by k.
 #pragma once
@@ -39,7 +39,6 @@ namespace blk::trace {
 
 struct SynthOptions {
   long sample_every = 1;  ///< keep every k-th sample unit (1 = everything)
-  int sample_depth = 1;   ///< loop depth whose iterations are sample units
 };
 
 struct SynthStats {
@@ -62,13 +61,6 @@ struct SynthStats {
 /// so they match both execution engines exactly.
 SynthStats synthesize(const ir::Program& p, const ir::Env& params,
                       TraceEncoder& enc, const SynthOptions& opt = {});
-
-/// Predicted full-trace record count (what synthesize with sample_every=1
-/// would emit), at O(#inner-loop instances) cost.  Used to auto-pick a
-/// sampling rate before committing to a full synthesis.  Throws if
-/// ineligible.
-[[nodiscard]] std::uint64_t estimate_records(const ir::Program& p,
-                                             const ir::Env& params);
 
 /// synthesize() + finish() into a fresh trace, falling back to VM
 /// recording (record_trace) when the program is ineligible.  `used_synth`

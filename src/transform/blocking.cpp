@@ -1,25 +1,12 @@
-// The simple driver pieces that live with the transform primitives.  The
-// composite drivers (auto_block & friends) are implemented on the pass-
-// manager layer in src/pm/drivers.cpp; their declarations stay in
-// blocking.hpp so callers are unchanged.
+// Loop-bound clean-up shared by the blocking pipelines.
 #include "transform/blocking.hpp"
 
-#include "ir/error.hpp"
 #include "transform/instrument.hpp"
-#include "transform/interchange.hpp"
-#include "transform/stripmine.hpp"
 
 namespace blk::transform {
 
 using namespace blk::ir;
 using analysis::Assumptions;
-
-Loop& strip_mine_and_interchange(Program& p, Loop& loop, IExprPtr block,
-                                 const Assumptions* ctx) {
-  Loop& strip = strip_mine(p, loop, std::move(block));
-  sink_loop(p.body, strip, /*check=*/true, ctx);
-  return strip;
-}
 
 void simplify_bounds_in(StmtList& body, Assumptions ctx) {
   for (auto& s : body) {

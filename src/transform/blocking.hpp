@@ -1,21 +1,13 @@
-// Blocking drivers: the end-to-end pipelines the paper's study runs.
+// Loop-bound clean-up shared by the blocking pipelines: MIN/MAX bound
+// resolution and loop normalization.  The pipelines themselves (§5.1
+// autoblock, §3.2 optconv, §5.4 optgivens, ...) are pass-manager passes;
+// run them through pm::run_spec / pm::run_pipeline.
 #pragma once
-
-#include <vector>
 
 #include "analysis/assume.hpp"
 #include "ir/program.hpp"
-#include "transform/distribute.hpp"
 
 namespace blk::transform {
-
-/// Simple strip-mine-and-interchange (§2.3): strip `loop` by `block` and
-/// sink the strip loop as deep as dependences allow.  Returns the strip
-/// (inner) loop.
-ir::Loop& strip_mine_and_interchange(ir::Program& p, ir::Loop& loop,
-                                     ir::IExprPtr block,
-                                     const analysis::Assumptions* ctx =
-                                         nullptr);
 
 /// Resolve MIN/MAX in every loop bound under `body` using `hints` plus the
 /// enclosing loops' range facts, and canonicalize.  With an empty `hints`
@@ -33,96 +25,10 @@ void simplify_all_bounds(ir::StmtList& body,
 /// piece inside its own instrumentation.
 void simplify_bounds_in(ir::StmtList& body, analysis::Assumptions ctx);
 
-/// Outcome of the automatic blocking pipeline.
-struct AutoBlockResult {
-  bool blocked = false;        ///< distribution succeeded
-  int splits = 0;              ///< index-set splits performed
-  int interchanges = 0;        ///< loops the strip variable sank past
-  ir::Loop* strip = nullptr;   ///< the strip (KK) loop of the first nest
-                               ///< (pieces.front() once distribution ran)
-  std::vector<ir::Loop*> pieces;  ///< distributed strip loops, in order
-};
-
-/// The paper's §5.1 pipeline, fully automatic:
-///
-///   1. strip-mine `loop` by `block`                          (K -> K, KK)
-///   2. Procedure IndexSetSplit on the strip loop             (split J)
-///   3. distribute the strip loop                             (SCC order)
-///   4. in every distributed piece that is a perfect nest, resolve MIN/MAX
-///      bounds and sink the strip loop inward (triangular interchange)
-///
-/// `hints` guides the section analysis (e.g. K+BS-1 <= N-1, the full-block
-/// view); `use_commutativity` arms the §5.2 pattern matcher so dependences
-/// between recognized row interchanges and whole-column updates are
-/// discounted during splitting and distribution.  Deriving block LU
-/// without pivoting needs only hints; with partial pivoting it needs the
-/// commutativity knowledge too.
-AutoBlockResult auto_block(ir::Program& p, ir::Loop& loop,
-                           ir::IExprPtr block,
-                           const analysis::Assumptions& hints = {},
-                           bool use_commutativity = false);
-
 /// Normalize `loop` to run from `origin` upward: substitutes
 /// var = var' + (lb - origin) so the new lower bound is `origin`.
 /// Rhomboidal iteration spaces (convolutions) become rectangular this way,
 /// after which plain unroll-and-jam applies.
 void normalize_loop(ir::StmtList& root, ir::Loop& loop, long origin = 0);
-
-/// Register blocking (the "+" of the paper's "2+"/"1+" variants): apply
-/// unroll-and-jam to `loop` (rectangular or triangular as its shape
-/// demands) and then scalar-replace the invariant references of every
-/// innermost loop underneath.  Legality is checked; throws blk::Error if
-/// the jam is unsafe.  Returns the number of scalar groups replaced.
-int register_block(ir::Program& p, ir::Loop& loop, long factor,
-                   const analysis::Assumptions& hints = {});
-
-/// auto_block + register_block in one driver: the §5.1 pipeline taken all
-/// the way to the paper's "2+" — the trailing-update nest's column loop is
-/// unroll-and-jammed by the machine model's factor and the A(I,J)
-/// accumulators are scalar-replaced.  `unroll` <= 1 selects jam-off
-/// (plain auto_block).
-AutoBlockResult auto_block_plus(ir::Program& p, ir::Loop& loop,
-                                ir::IExprPtr block, long unroll,
-                                const analysis::Assumptions& hints = {},
-                                bool use_commutativity = false);
-
-/// Outcome of the §3.2 driver.
-struct ConvOptResult {
-  std::vector<ir::Loop*> pieces;  ///< outer loops after trapezoid splitting
-  int normalized = 0;             ///< rhomboidal pieces made rectangular
-  int jammed = 0;                 ///< pieces register-blocked
-};
-
-/// The §3.2 pipeline, fully automatic, for a trapezoidal reduction like
-/// the seismic convolutions (an outer loop over an inner loop whose
-/// MIN/MAX bounds cross):
-///
-///   1. index-set split the outer loop at every MIN/MAX crossover
-///      (split_trapezoid_all) — rectangular, triangular and rhomboidal
-///      pieces fall out;
-///   2. normalize rhomboidal pieces (both inner bounds tracking the outer
-///      variable) so the inner loop becomes rectangular;
-///   3. register-block each piece (unroll-and-jam by `unroll`, triangular
-///      where the shape demands, then scalar replacement of the invariant
-///      accumulators).  Unjammable pieces are left split-but-unjammed.
-ConvOptResult optimize_convolution(ir::Program& p, long unroll = 4,
-                                   const analysis::Assumptions& hints = {});
-
-/// Outcome of the §5.4 driver.
-struct GivensOptResult {
-  ir::Loop* column_loop = nullptr;  ///< the new K-outermost update loop
-  int interchanges = 0;
-};
-
-/// The paper's §5.4 pipeline, fully automatic, applied to a Fig. 9-shaped
-/// program (an L loop over a guarded J loop whose guarded body ends with
-/// the K update loop):
-///
-///   1. if_inspect_auto on the J loop — scalar-expands the rotation
-///      coefficients, index-set splits K at the recurrence boundary
-///      (K = L), and installs the inspector/executor pair;
-///   2. interchanges the executor nest until the K update loop is
-///      outermost (giving stride-one column traversal) — Fig. 10.
-GivensOptResult optimize_givens(ir::Program& p);
 
 }  // namespace blk::transform

@@ -61,7 +61,7 @@ PassScope::~PassScope() {
   bool committed = std::uncaught_exceptions() == uncaught_;
   // Whatever happened, the tree may have been rewritten (trial undos
   // restore *values*, not node identities): cached analyses go stale.
-  analysis::notify_pass_end(name_, committed);
+  analysis::notify_pass_end();
   // Observers that joined mid-pass never saw `before`; skip their `after`.
   std::size_t n = std::min(depth_, t_observers.size());
   for (std::size_t i = n; i-- > 0;)

@@ -243,7 +243,6 @@ Report check_dependence_preservation(const Program& pre, const Program& post,
 
   for (const Dependence& dep : pre_deps) {
     if (dep.type == DepType::Input) continue;
-    if (!opt.check_scalars && dep.src.is_scalar()) continue;
     if (opt.allow_commutative_swaps && commutes(dep)) continue;
 
     std::string src_key = stmt_key(*dep.src.owner);

@@ -44,11 +44,6 @@ struct DepCheckOptions {
   /// Honour the §5.2 commutativity whitelist: skip dependences between a
   /// matched row-interchange loop and whole-column updates on its array.
   bool allow_commutative_swaps = true;
-  /// Also check dependences carried by scalars.  Reordering passes that
-  /// legitimately rewire scalar values (scalar replacement / expansion)
-  /// must not be checked with this on — the pipeline harness runs them
-  /// under a lint-only policy instead.
-  bool check_scalars = true;
 };
 
 /// Check that every dependence of `pre` is preserved in `post`.

@@ -1,7 +1,7 @@
 // Diagnostics shared by the verification passes (lint, dependence check,
 // pipeline harness).  One entry point, one format: every finding carries a
 // severity, a stable machine-readable code, a human message and the
-// statement path it anchors to, so tools (blk-verify, the fuzzer, tests)
+// statement path it anchors to, so tools (blk-lint, the fuzzer, tests)
 // can filter and render uniformly.
 #pragma once
 

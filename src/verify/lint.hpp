@@ -12,7 +12,7 @@
 //    folded in from ir::validate as `structure` diagnostics.
 //
 // All findings flow through one entry point and carry statement paths, so
-// a pass pipeline, the blk-verify CLI and the fuzzer render them the same
+// a pass pipeline, the blk-lint CLI and the fuzzer render them the same
 // way.
 #pragma once
 

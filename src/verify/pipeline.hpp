@@ -80,14 +80,4 @@ class VerifiedPipeline final : public transform::PassObserver {
   std::vector<StepReport> steps_;
 };
 
-/// Run `fn` under a VerifiedPipeline on `p` and return the combined
-/// verification report (fn typically applies a sequence of passes).
-template <typename Fn>
-[[nodiscard]] Report verified(ir::Program& p, Fn&& fn,
-                              DepCheckOptions opt = {}) {
-  VerifiedPipeline vp(p, std::move(opt));
-  std::forward<Fn>(fn)();
-  return vp.combined();
-}
-
 }  // namespace blk::verify

@@ -82,7 +82,7 @@ TEST(AnalysisManager, HandedOutGraphSurvivesInvalidation) {
   ScopedAnalysisManager scope(am);
   DepGraphPtr g = dep_graph_for(p.body, k);
   std::size_t edges_before = g->edges().size();
-  am.invalidate_all();
+  am.invalidate();
   EXPECT_EQ(g->edges().size(), edges_before);  // still valid to read
 }
 

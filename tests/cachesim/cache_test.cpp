@@ -9,7 +9,7 @@
 #include "ir/builder.hpp"
 #include "ir/error.hpp"
 #include "kernels/ir_kernels.hpp"
-#include "transform/blocking.hpp"
+#include "pm/runner.hpp"
 
 namespace blk::cachesim {
 namespace {
@@ -90,9 +90,8 @@ TEST(Cache, BlockedLuMissesLessThanPointLu) {
   analysis::Assumptions hints;
   hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                   isub(ivar("N"), iconst(1)));
-  auto res = transform::auto_block(blocked, blocked.body[0]->as_loop(),
-                                   ivar("KS"), hints);
-  ASSERT_TRUE(res.blocked);
+  pm::RunReport r = pm::run_spec(blocked, "autoblock(b=KS)", hints);
+  ASSERT_EQ(r.passes[0].note, "blocked, 1 splits, 2 interchanges");
 
   CacheConfig tiny{.size_bytes = 16 * 1024, .line_bytes = 64, .assoc = 4};
   const long n = 96;  // 96x96 doubles = 72 KB >> 16 KB cache
@@ -304,8 +303,7 @@ TEST(Hierarchy, BlockedLuLowersAmat) {
   analysis::Assumptions hints;
   hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                   isub(ivar("N"), iconst(1)));
-  (void)transform::auto_block(blocked, blocked.body[0]->as_loop(),
-                              ivar("KS"), hints);
+  (void)pm::run_spec(blocked, "autoblock(b=KS)", hints);
   std::vector<CacheConfig> lvls{
       {.size_bytes = 8 * 1024, .line_bytes = 64, .assoc = 4},
       {.size_bytes = 64 * 1024, .line_bytes = 64, .assoc = 8}};

@@ -9,6 +9,7 @@
 #include "kernels/ir_kernels.hpp"
 #include "lang/blockdo.hpp"
 #include "lang/parser.hpp"
+#include "pm/runner.hpp"
 #include "testutil.hpp"
 #include "transform/blocking.hpp"
 #include "transform/ifinspect.hpp"
@@ -42,10 +43,8 @@ TEST(Pipeline, SourceToBlockLu) {
   cr.program.param("KS");
   analysis::Assumptions hints;
   hints.assert_le(v("K") + v("KS") - 1, v("N") - 1);
-  auto res = transform::auto_block(cr.program,
-                                   cr.program.body[0]->as_loop(),
-                                   ivar("KS"), hints);
-  EXPECT_TRUE(res.blocked);
+  pm::RunReport r = pm::run_spec(cr.program, "autoblock(b=KS)", hints);
+  EXPECT_EQ(r.passes[0].note, "blocked, 1 splits, 2 interchanges");
   for (long n : {21L, 30L}) {
     ir::Env env{{"N", n}, {"KS", 8}};
     EXPECT_EQ(0.0, test::run_and_diff(point, cr.program, env, 91,
@@ -137,7 +136,7 @@ TEST(Pipeline, MatmulIfInspectThenJamExecutor) {
   }
 }
 
-TEST(Pipeline, BlockDoSourceThroughMachineModel) {
+TEST(Pipeline, BlockDoSourceThroughAnalyticModel) {
   // §6 end to end: BLOCK DO source, machine-chosen factor, bound, run.
   auto cr = lang::compile(
       "PARAMETER N\n"
@@ -149,7 +148,7 @@ TEST(Pipeline, BlockDoSourceThroughMachineModel) {
       "    ENDDO\n"
       "  ENDDO\n"
       "ENDDO\n");
-  lang::MachineModel machine;
+  model::MachineParams machine;
   lang::bind_block_sizes(cr, lang::choose_block_sizes(cr, machine));
 
   // Reference: the unblocked loop.
@@ -172,8 +171,7 @@ TEST(Pipeline, CacheModelConfirmsBlockingHelps2DStencilToo) {
   Program p = kernels::sum_example_ir();
   Program blocked = p.clone();
   blocked.param("JS");
-  transform::strip_mine_and_interchange(
-      blocked, blocked.body[0]->as_loop(), ivar("JS"));
+  (void)pm::run_spec(blocked, "stripmine(b=JS); interchange");
 
   cachesim::CacheConfig tiny{.size_bytes = 4096, .line_bytes = 64,
                              .assoc = 4};
@@ -194,8 +192,7 @@ TEST(Pipeline, RS6000ModelMissRatesForLu) {
   blocked.param("KS");
   analysis::Assumptions hints;
   hints.assert_le(v("K") + v("KS") - 1, v("N") - 1);
-  (void)transform::auto_block(blocked, blocked.body[0]->as_loop(),
-                              ivar("KS"), hints);
+  (void)pm::run_spec(blocked, "autoblock(b=KS)", hints);
   cachesim::CacheConfig rs6000{.size_bytes = 64 * 1024, .line_bytes = 128,
                                .assoc = 4};
   const long n = 160;  // 160x160 doubles = 200 KB >> 64 KB

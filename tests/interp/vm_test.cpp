@@ -13,8 +13,9 @@
 #include "ir/printer.hpp"
 #include "kernels/ir_kernels.hpp"
 #include "lang/blockdo.hpp"
-#include "lang/machine.hpp"
 #include "lang/parser.hpp"
+#include "pm/runner.hpp"
+#include "pm/spec.hpp"
 #include "transform/blocking.hpp"
 #include "transform/ifinspect.hpp"
 #include "transform/split.hpp"
@@ -79,9 +80,8 @@ TEST(VmGolden, AutoBlockedLu) {
   p.param("KS");
   analysis::Assumptions hints;
   hints.assert_le(v("K") + v("KS") - 1, v("N") - 1);
-  auto res = transform::auto_block(p, p.body[0]->as_loop(), ivar("KS"),
-                                   hints);
-  ASSERT_TRUE(res.blocked);
+  pm::RunReport r = pm::run_spec(p, "autoblock(b=KS)", hints);
+  ASSERT_EQ(r.passes[0].note, "blocked, 1 splits, 2 interchanges");
   for (long ks : {3L, 8L})
     expect_engines_agree(p, {{"N", 24}, {"KS", ks}}, 11);
 }
@@ -122,8 +122,9 @@ TEST(VmGolden, ConvolutionPipeline) {
 
 TEST(VmGolden, GivensF9ToF10) {
   Program p = kernels::givens_qr_ir();
-  auto res = transform::optimize_givens(p);
-  EXPECT_GT(res.interchanges, 0);
+  pm::PipelineContext ctx(p);
+  (void)pm::run_pipeline(pm::parse_pipeline("optgivens"), ctx);
+  EXPECT_GT(ctx.interchanges, 0);
   expect_engines_agree(p, {{"M", 14}, {"N", 10}}, 8);
   expect_engines_agree(kernels::givens_qr_ir(), {{"M", 14}, {"N", 10}}, 8);
 }

@@ -18,7 +18,6 @@
 #include "pm/runner.hpp"
 #include "pm/spec.hpp"
 #include "testutil.hpp"
-#include "transform/blocking.hpp"
 #include "transform/ifinspect.hpp"
 
 namespace blk::ir {
@@ -77,9 +76,8 @@ TEST(Codegen, CompileAndRunPointVsBlockedLu) {
   analysis::Assumptions hints;
   hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                   isub(ivar("N"), iconst(1)));
-  auto res = transform::auto_block(blocked, blocked.body[0]->as_loop(),
-                                   ivar("KS"), hints);
-  ASSERT_TRUE(res.blocked);
+  pm::RunReport r = pm::run_spec(blocked, "autoblock(b=KS)", hints);
+  ASSERT_EQ(r.passes[0].note, "blocked, 1 splits, 2 interchanges");
 
   std::string dir = ::testing::TempDir();
   std::string src_path = dir + "/blk_codegen_lu.c";
@@ -128,12 +126,12 @@ int main(void) {
 namespace blk::ir {
 namespace {
 
-// The §5.4 pipeline through the C backend: optimize_givens output compiles
+// The §5.4 pipeline through the C backend: optgivens output compiles
 // and matches the point algorithm when run natively.
 TEST(Codegen, CompileAndRunGivensPipeline) {
   Program point = blk::kernels::givens_qr_ir();
   Program opt = point.clone();
-  (void)transform::optimize_givens(opt);
+  (void)pm::run_spec(opt, "optgivens");
 
   std::string dir = ::testing::TempDir();
   std::string src_path = dir + "/blk_codegen_givens.c";
@@ -305,9 +303,8 @@ TEST(CodegenDifferential, GoldenLuPointAndAutoBlocked) {
   analysis::Assumptions hints;
   hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                   isub(ivar("N"), iconst(1)));
-  auto res = transform::auto_block(blocked, blocked.body[0]->as_loop(),
-                                   ivar("KS"), hints);
-  ASSERT_TRUE(res.blocked);
+  pm::RunReport r = pm::run_spec(blocked, "autoblock(b=KS)", hints);
+  ASSERT_EQ(r.passes[0].note, "blocked, 1 splits, 2 interchanges");
   expect_native_matches_vm(blocked, {{"N", 37}, {"KS", 8}}, 30,
                            {{"A", 37.0}});
 }
@@ -331,7 +328,7 @@ TEST(CodegenDifferential, GoldenGivensPointAndOptimized) {
   expect_native_matches_vm(blk::kernels::givens_qr_ir(),
                            {{"M", 19}, {"N", 13}}, 32, {{"A", 19.0}});
   Program opt = blk::kernels::givens_qr_ir();
-  (void)transform::optimize_givens(opt);
+  (void)pm::run_spec(opt, "optgivens");
   expect_native_matches_vm(opt, {{"M", 19}, {"N", 13}}, 32, {{"A", 19.0}});
 }
 
@@ -341,7 +338,7 @@ TEST(CodegenDifferential, GoldenConvolutions) {
   expect_native_matches_vm(blk::kernels::conv_ir(), env, 33);
   expect_native_matches_vm(blk::kernels::aconv_ir(), env, 33);
   Program opt = blk::kernels::conv_ir();
-  (void)transform::optimize_convolution(opt, 4);
+  (void)pm::run_spec(opt, "optconv(u=4)");
   expect_native_matches_vm(opt, env, 33);
 }
 

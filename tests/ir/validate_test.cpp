@@ -5,7 +5,7 @@
 #include "ir/error.hpp"
 #include "ir/validate.hpp"
 #include "kernels/ir_kernels.hpp"
-#include "transform/blocking.hpp"
+#include "pm/runner.hpp"
 #include "transform/ifinspect.hpp"
 
 namespace blk::ir {
@@ -33,12 +33,11 @@ TEST(Validate, DerivedProgramsStayWellFormed) {
   analysis::Assumptions hints;
   hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                   isub(ivar("N"), iconst(1)));
-  (void)transform::auto_block_plus(p, p.body[0]->as_loop(), ivar("KS"), 2,
-                                   hints);
+  (void)pm::run_spec(p, "autoblockplus(b=KS, u=2)", hints);
   EXPECT_NO_THROW(validate_or_throw(p));
 
   Program g = blk::kernels::givens_qr_ir();
-  (void)transform::optimize_givens(g);
+  (void)pm::run_spec(g, "optgivens");
   EXPECT_NO_THROW(validate_or_throw(g));
 }
 

@@ -181,16 +181,6 @@ TEST(BlockDo, Fig11MatchesPointLuForAnyFactor) {
   }
 }
 
-TEST(BlockDo, MachineModelChoosesFactor) {
-  auto cr = compile(kBlockLuSource);
-  MachineModel rs6000;  // defaults: 64 KB cache
-  ir::Env sizes = choose_block_sizes(cr, rs6000);
-  ASSERT_TRUE(sizes.contains("BS_K"));
-  EXPECT_EQ(sizes.at("BS_K"), 32);  // sqrt(64K/(3*8)) rounded to a power of 2
-  MachineModel tiny{.cache_bytes = 8 * 1024};
-  EXPECT_LT(choose_block_sizes(cr, tiny).at("BS_K"), 32);
-}
-
 /// kBlockLuSource with an explicit BLOCK(8) factor override.
 std::string fixed_factor_source() {
   std::string src = kBlockLuSource;
@@ -207,9 +197,8 @@ TEST(BlockDo, ExplicitFactorIsRecorded) {
   EXPECT_EQ(to_string(cr.program.body[0]->as_loop().step), "BS_K");
 }
 
-TEST(BlockDo, ExplicitFactorOverridesBothChoosers) {
+TEST(BlockDo, ExplicitFactorOverridesChooser) {
   auto cr = compile(fixed_factor_source());
-  EXPECT_EQ(choose_block_sizes(cr, MachineModel{}).at("BS_K"), 8);
   model::MachineParams machine;
   EXPECT_EQ(choose_block_sizes(cr, machine).at("BS_K"), 8);
 }
@@ -264,13 +253,6 @@ TEST(BlockDo, InWithoutBlockIsAnError) {
   EXPECT_THROW((void)compile("PARAMETER N\nREAL*8 A(N)\n"
                              "IN K DO KK\n  A(KK) = 0.0\nENDDO\n"),
                blk::Error);
-}
-
-TEST(BlockDo, UnrollFactorFromRegisters) {
-  MachineModel m;
-  EXPECT_EQ(m.unroll_factor(), 4u);  // 32 fp registers / 8
-  MachineModel small{.fp_registers = 8};
-  EXPECT_EQ(small.unroll_factor(), 2u);
 }
 
 // ---- printer/parser round-trip properties ------------------------------

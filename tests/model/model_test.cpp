@@ -13,7 +13,6 @@
 #include "model/sweep.hpp"
 #include "pm/runner.hpp"
 #include "pm/spec.hpp"
-#include "transform/blocking.hpp"
 
 namespace blk::model {
 namespace {
@@ -116,9 +115,8 @@ Program blocked_lu() {
   analysis::Assumptions hints;
   hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                   isub(ivar("N"), iconst(1)));
-  auto res = transform::auto_block(prog, prog.body[0]->as_loop(),
-                                   ivar("KS"), hints);
-  EXPECT_TRUE(res.blocked);
+  pm::RunReport r = pm::run_spec(prog, "autoblock(b=KS)", hints);
+  EXPECT_EQ(r.passes[0].note, "blocked, 1 splits, 2 interchanges");
   prog.scalar("KS");
   return prog;
 }
@@ -191,7 +189,7 @@ SweepResult expect_sweep_matches_direct_simulation(const Program& prog,
     const CandidateResult& row = r.rows[i];
     SCOPED_TRACE("ks=" + std::to_string(opt.candidates[i]));
     interp::ExecEngine eng(prog, opt.probe_params, interp::Engine::Vm);
-    interp::seed_store(eng.store(), opt.seed);
+    interp::seed_store(eng.store(), 42);  // the sweep's recording seed
     for (auto& [name, value] : eng.store().scalars) value = 0.0;
     eng.store().scalars[opt.ks_scalar] =
         static_cast<double>(opt.candidates[i]);
@@ -259,6 +257,34 @@ TEST(Sweep, RecordOnceReplayManyThroughTheStore) {
   EXPECT_EQ(second.store_hits, 3u);
   for (std::size_t i = 0; i < second.rows.size(); ++i)
     EXPECT_EQ(second.rows[i].trace_len, first.rows[i].trace_len);
+}
+
+// Without a caller store each sweep keeps its traces to itself: a second
+// identical sweep traces every candidate again and measures the same rows.
+TEST(Sweep, NoCallerStoreKeepsNothingAcrossSweeps) {
+  Program prog = blocked_lu();
+  SweepOptions opt;
+  opt.candidates = {4, 8, 16};
+  opt.probe_params = {{"N", 48}};
+  opt.levels = {parse_cache_config("4K/64B/2")};
+  ASSERT_EQ(opt.store, nullptr);
+
+  const SweepResult first = sweep_block_sizes(prog, opt);
+  const SweepResult second = sweep_block_sizes(prog, opt);
+  for (const SweepResult* r : {&first, &second}) {
+    EXPECT_EQ(r->store_hits, 0u);
+    EXPECT_EQ(r->store_misses, 3u);
+  }
+  ASSERT_EQ(second.rows.size(), first.rows.size());
+  for (std::size_t i = 0; i < first.rows.size(); ++i) {
+    SCOPED_TRACE("ks=" + std::to_string(first.rows[i].ks));
+    EXPECT_EQ(second.rows[i].ks, first.rows[i].ks);
+    EXPECT_EQ(second.rows[i].levels, first.rows[i].levels);
+    EXPECT_EQ(second.rows[i].metric, first.rows[i].metric);
+    EXPECT_EQ(second.rows[i].trace_len, first.rows[i].trace_len);
+    EXPECT_EQ(second.rows[i].compression, first.rows[i].compression);
+  }
+  EXPECT_EQ(second.best_index, first.best_index);
 }
 
 TEST(Sweep, SamplingValidatesAndKeepsTheChoice) {

@@ -188,19 +188,6 @@ TEST(NativeEngine, StatsJsonSchemaIsPinned) {
     EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
 }
 
-TEST(NativeEngine, WarmPrecompilesSoConstructionHits) {
-  if (!available()) GTEST_SKIP() << "no host C toolchain";
-  KernelCache cache(fresh_dir("warm"));
-  ir::Program lu = kernels::lu_point_ir();
-  ir::Program conv = kernels::conv_ir();
-  ir::Program givens = kernels::givens_qr_ir();
-  warm({&lu, &conv, &givens}, 3, &cache);
-  for (const ir::Program* p : {&lu, &conv, &givens}) {
-    Kernel k(*p, "blk_kernel", &cache);
-    EXPECT_TRUE(k.timings().cache_hit);
-  }
-}
-
 TEST(NativeEngine, UnboundParameterIsRejected) {
   if (!available()) GTEST_SKIP() << "no host C toolchain";
   ir::Program p = kernels::lu_point_ir();

@@ -1,4 +1,4 @@
-// Pipeline runner: declarative specs reproduce the hand-written drivers
+// Pipeline runner: primitive specs reproduce the composite passes
 // bit-identically, stage products thread between passes, and per-pass
 // stats are recorded.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "pm/runner.hpp"
 #include "pm/spec.hpp"
 #include "testutil.hpp"
-#include "transform/blocking.hpp"
 #include "verify/pipeline.hpp"
 
 namespace blk::pm {
@@ -25,13 +24,13 @@ analysis::Assumptions full_block_hint() {
   return hints;
 }
 
-// §5.1: the declarative pipeline derives the same block LU (Fig. 6) as
-// the auto_block driver, bit-identically.
+// §5.1: the primitive pipeline derives the same block LU (Fig. 6) as the
+// autoblock composite, bit-identically.
 TEST(PipelineRunner, BlockLuSpecMatchesAutoBlockDriver) {
   Program via_driver = blk::kernels::lu_point_ir();
-  via_driver.param("KS");
-  (void)transform::auto_block(via_driver, via_driver.body[0]->as_loop(),
-                              ivar("KS"), full_block_hint());
+  RunReport composite =
+      run_spec(via_driver, "autoblock(b=KS)", full_block_hint());
+  EXPECT_EQ(composite.passes[0].note, "blocked, 1 splits, 2 interchanges");
 
   Program via_spec = blk::kernels::lu_point_ir();
   RunReport report = run_spec(
@@ -46,26 +45,31 @@ TEST(PipelineRunner, BlockLuSpecMatchesAutoBlockDriver) {
 }
 
 // §5.2 acceptance: pivoted LU blocks under the commutativity-armed spec,
-// identically to auto_block(use_commutativity=true).
+// identically to autoblock(commutativity); without commutativity neither
+// spelling blocks, and both leave the same (split, undistributed) IR.
 TEST(PipelineRunner, PivotedBlockLuSpecMatchesDriverBitIdentically) {
   analysis::Assumptions hints;
   hints.assert_le(v("K") + v("BS") - 1, v("N") - 1);
 
-  Program via_driver = blk::kernels::lu_pivot_point_ir();
-  via_driver.param("BS");
-  auto res = transform::auto_block(via_driver,
-                                   via_driver.body[0]->as_loop(),
-                                   ivar("BS"), hints,
-                                   /*use_commutativity=*/true);
-  ASSERT_TRUE(res.blocked);
+  for (bool commutativity : {true, false}) {
+    const std::string flag = commutativity ? "(commutativity)" : "";
+    Program via_driver = blk::kernels::lu_pivot_point_ir();
+    RunReport composite = run_spec(
+        via_driver,
+        commutativity ? "autoblock(b=BS, commutativity)" : "autoblock(b=BS)",
+        hints);
+    EXPECT_EQ(composite.passes[0].note.rfind("blocked", 0) == 0,
+              commutativity)
+        << composite.passes[0].note;
 
-  Program via_spec = blk::kernels::lu_pivot_point_ir();
-  (void)run_spec(
-      via_spec,
-      "stripmine(b=BS); split; distribute(commutativity); interchange",
-      hints);
+    Program via_spec = blk::kernels::lu_pivot_point_ir();
+    (void)run_spec(
+        via_spec,
+        "stripmine(b=BS); split; distribute" + flag + "; interchange", hints);
 
-  EXPECT_EQ(print(via_spec.body), print(via_driver.body));
+    EXPECT_EQ(print(via_spec.body), print(via_driver.body))
+        << "commutativity=" << commutativity;
+  }
 }
 
 // Naming commutativity on *any* stage arms it pipeline-wide: the split

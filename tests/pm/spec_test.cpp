@@ -98,6 +98,17 @@ TEST(SpecParserDiagnostics, UnknownPassIsNamed) {
 TEST(SpecParserDiagnostics, UnknownOptionIsNamed) {
   expect_error_mentions("stripmine(q=8)",
                         "pass 'stripmine' has no option 'q'");
+  // Knobs that became constants are gone from the registry.
+  expect_error_mentions("selectblock(seed=1)",
+                        "pass 'selectblock' has no option 'seed'");
+  expect_error_mentions("selectblock(name=KB)",
+                        "pass 'selectblock' has no option 'name'");
+  expect_error_mentions("selectblock(fraction=50)",
+                        "pass 'selectblock' has no option 'fraction'");
+  expect_error_mentions("selectblock(sampletol=100)",
+                        "pass 'selectblock' has no option 'sampletol'");
+  expect_error_mentions("stripmine(b=8, exact)",
+                        "pass 'stripmine' has no option 'exact'");
 }
 
 TEST(SpecParserDiagnostics, IntOptionRejectsName) {

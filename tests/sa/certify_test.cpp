@@ -4,8 +4,8 @@
 
 #include "ir/builder.hpp"
 #include "kernels/ir_kernels.hpp"
+#include "pm/runner.hpp"
 #include "sa/certify.hpp"
-#include "transform/blocking.hpp"
 
 namespace blk::sa {
 namespace {
@@ -219,9 +219,8 @@ TEST(Certify, BlockedLuUpdateLoopsCertifyParallel) {
   p.param("KS");
   analysis::Assumptions hints;
   hints.assert_le(v("K") + v("KS") - 1, v("N") - 1);
-  auto res = transform::auto_block(p, p.body[0]->as_loop(), ivar("KS"),
-                                   hints);
-  ASSERT_TRUE(res.blocked);
+  pm::RunReport rep = pm::run_spec(p, "autoblock(b=KS)", hints);
+  ASSERT_EQ(rep.passes[0].note, "blocked, 1 splits, 2 interchanges");
 
   CertifyResult r = certify(p, {.ctx = &hints});
   // Within-block factorization stays serial (it is the point algorithm).

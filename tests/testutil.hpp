@@ -14,26 +14,22 @@
 
 namespace blk::test {
 
-/// Fill every array of an engine's store with seeded random data; arrays
-/// whose name appears in `diag_boost` get +boost added on the diagonal
-/// (making unpivoted elimination well-conditioned).  Works with any engine
-/// exposing `store()` (Interpreter, Vm, ExecEngine).
+/// Fill every array of an engine's store with interp::seed_store's seeded
+/// random data; arrays whose name appears in `diag_boost` get +boost added
+/// on the diagonal (making unpivoted elimination well-conditioned).  Works
+/// with any engine exposing `store()` (Interpreter, Vm, ExecEngine).
 template <typename EngineT>
 inline void seed_inputs(EngineT& in, std::uint64_t seed,
                         const std::map<std::string, double>& diag_boost = {}) {
-  for (auto& [name, t] : in.store().arrays) {
-    // Derive each array's stream from its *name* so that programs with
-    // extra compiler temporaries still seed the shared arrays identically.
-    std::uint64_t k = seed;
-    for (char ch : name) k = k * 1099511628211ULL + static_cast<unsigned char>(ch);
-    interp::fill_random(t, k);
-    auto it = diag_boost.find(name);
-    if (it != diag_boost.end() && t.rank() == 2) {
-      for (long i = t.lower(0); i <= t.upper(0); ++i) {
-        if (i < t.lower(1) || i > t.upper(1)) continue;
-        std::vector<long> idx{i, i};
-        t.at(idx) += it->second;
-      }
+  interp::seed_store(in.store(), seed);
+  for (const auto& [name, boost] : diag_boost) {
+    auto it = in.store().arrays.find(name);
+    if (it == in.store().arrays.end() || it->second.rank() != 2) continue;
+    interp::Tensor& t = it->second;
+    for (long i = t.lower(0); i <= t.upper(0); ++i) {
+      if (i < t.lower(1) || i > t.upper(1)) continue;
+      std::vector<long> idx{i, i};
+      t.at(idx) += boost;
     }
   }
 }

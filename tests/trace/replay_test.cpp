@@ -163,8 +163,7 @@ TEST(TraceStore, HitsMissesAndKeying) {
   const Program lu = kernels::lu_point_ir();
   const TraceKey k1{.program_hash = hash_program(lu),
                     .env_hash = hash_env({{"N", 16}}),
-                    .ks = 4,
-                    .seed = 42};
+                    .ks = 4};
   EXPECT_EQ(store.get(k1), nullptr);
   EXPECT_EQ(store.stats().misses, 1u);
 
@@ -223,12 +222,6 @@ TEST(TraceStore, LruEvictsToByteCapAndKeepsLivePointers) {
   store.clear();
   EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_EQ(store.stats().bytes, 0u);
-}
-
-TEST(TraceStore, ProcessSingletonIsShared) {
-  TraceStore& a = TraceStore::process();
-  TraceStore& b = TraceStore::process();
-  EXPECT_EQ(&a, &b);
 }
 
 TEST(TraceStore, HashesAreStableAndDiscriminating) {

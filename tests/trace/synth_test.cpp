@@ -12,8 +12,8 @@
 #include "ir/builder.hpp"
 #include "ir/error.hpp"
 #include "kernels/ir_kernels.hpp"
+#include "pm/runner.hpp"
 #include "trace/synth.hpp"
-#include "transform/blocking.hpp"
 
 namespace blk::trace {
 namespace {
@@ -38,9 +38,8 @@ Program blocked_lu() {
   analysis::Assumptions hints;
   hints.assert_le(isub(iadd(ivar("K"), ivar("KS")), iconst(1)),
                   isub(ivar("N"), iconst(1)));
-  auto res = transform::auto_block(prog, prog.body[0]->as_loop(),
-                                   ivar("KS"), hints);
-  EXPECT_TRUE(res.blocked);
+  pm::RunReport r = pm::run_spec(prog, "autoblock(b=KS)", hints);
+  EXPECT_EQ(r.passes[0].note, "blocked, 1 splits, 2 interchanges");
   prog.scalar("KS");
   return prog;
 }
@@ -142,15 +141,6 @@ TEST(TraceSynth, ReportsIneligibilityReasons) {
   EncodedTrace t;
   TraceEncoder enc(t);
   EXPECT_THROW((void)synthesize(q, {{"N", 4}}, enc), blk::Error);
-}
-
-TEST(TraceSynth, EstimateMatchesActualRecordCount) {
-  const Program prog = blocked_lu();
-  const Env params{{"N", 33}, {"KS", 8}};
-  EXPECT_EQ(estimate_records(prog, params),
-            vm_trace(prog, params).size());
-  EXPECT_EQ(estimate_records(kernels::lu_point_ir(), {{"N", 21}}),
-            vm_trace(kernels::lu_point_ir(), {{"N", 21}}).size());
 }
 
 TEST(TraceSynth, SamplingIsDeterministicAndProportional) {

@@ -14,11 +14,9 @@
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "kernels/ir_kernels.hpp"
+#include "pm/runner.hpp"
+#include "pm/spec.hpp"
 #include "testutil.hpp"
-#include "transform/blocking.hpp"
-#include "transform/pattern.hpp"
-#include "transform/split.hpp"
-#include "transform/stripmine.hpp"
 
 namespace blk::transform {
 namespace {
@@ -32,15 +30,23 @@ analysis::Assumptions full_block_hint() {
   return hints;
 }
 
+/// Run `spec` over `p` and return its last stage's note (the composite
+/// passes report "blocked, ..." or "not blocked, ...").
+std::string run_note(Program& p, std::string_view spec,
+                     const analysis::Assumptions& hints = full_block_hint()) {
+  return pm::run_spec(p, spec, hints).passes.back().note;
+}
+
+bool blocked(const std::string& note) { return note.rfind("blocked", 0) == 0; }
+
 Program derive_block_lu() {
   Program p = blk::kernels::lu_point_ir();
   p.param("KS");
-  auto res = auto_block(p, p.body[0]->as_loop(), ivar("KS"),
-                        full_block_hint());
-  EXPECT_TRUE(res.blocked);
-  EXPECT_EQ(res.splits, 1);
-  EXPECT_EQ(res.interchanges, 2);
-  EXPECT_EQ(res.pieces.size(), 2u);
+  pm::PipelineContext ctx(p, full_block_hint());
+  pm::RunReport r = pm::run_pipeline(pm::parse_pipeline("autoblock(b=KS)"),
+                                     ctx);
+  EXPECT_EQ(r.passes[0].note, "blocked, 1 splits, 2 interchanges");
+  EXPECT_EQ(ctx.pieces.size(), 2u);
   return p;
 }
 
@@ -107,8 +113,7 @@ TEST(BlockLu, WithoutHintsStillSafeJustLessBlocked) {
   Program p = blk::kernels::lu_point_ir();
   Program point = p.clone();
   p.param("KS");
-  analysis::Assumptions none;
-  (void)auto_block(p, p.body[0]->as_loop(), ivar("KS"), none);
+  (void)run_note(p, "autoblock(b=KS)", {});
   for (long n : {11L, 18L}) {
     ir::Env env{{"N", n}, {"KS", 4}};
     EXPECT_EQ(0.0, blk::test::run_and_diff(point, p, env, 15,
@@ -205,9 +210,7 @@ TEST(Lu, DegenerateSizes) {
 Program derive_pivot_block_lu() {
   Program p = blk::kernels::lu_pivot_point_ir();
   p.param("KS");
-  auto res = auto_block(p, p.body[0]->as_loop(), ivar("KS"), full_block_hint(),
-                        /*use_commutativity=*/true);
-  EXPECT_TRUE(res.blocked);
+  EXPECT_TRUE(blocked(run_note(p, "autoblock(b=KS, commutativity)")));
   return p;
 }
 
@@ -244,9 +247,8 @@ TEST(LuPivot, PivotingActuallyPivots) {
   const std::vector<double> a0{1e-12, 2.0, -1.0, 1.0, 1.0, 3.0, 2.0, 1.0, 1.0};
   Program plus = blk::kernels::lu_pivot_point_ir();
   plus.param("KS");
-  ASSERT_TRUE(auto_block_plus(plus, plus.body[0]->as_loop(), ivar("KS"), 2,
-                              full_block_hint(), /*use_commutativity=*/true)
-                  .blocked);
+  ASSERT_TRUE(
+      blocked(run_note(plus, "autoblockplus(b=KS, u=2, commutativity)")));
   for (const Program& p : {blk::kernels::lu_pivot_point_ir(), plus.clone()}) {
     std::vector<double> f = factor(p, {{"N", 3}, {"KS", 2}}, a0);
     EXPECT_EQ(f[0], 2.0);
@@ -281,20 +283,18 @@ TEST(BlockLuPivot, NotDistributableByDependenceAlone) {
   // Strip-mine and split: the swap<->update recurrence remains one SCC.
   Program p = blk::kernels::lu_pivot_point_ir();
   p.param("KS");
-  auto res = auto_block(p, p.body[0]->as_loop(), ivar("KS"),
-                        full_block_hint());
-  EXPECT_FALSE(res.blocked);
+  EXPECT_FALSE(blocked(run_note(p, "autoblock(b=KS)")));
 }
 
 TEST(BlockLuPivot, CommutativityKnowledgeUnlocksBlocking) {
   Program p = blk::kernels::lu_pivot_point_ir();
   Program point = blk::kernels::lu_pivot_point_ir();
   p.param("KS");
-  Loop& k = p.body[0]->as_loop();
-  auto res = auto_block(p, k, ivar("KS"), full_block_hint(),
-                        /*use_commutativity=*/true);
-  ASSERT_TRUE(res.blocked);
-  ASSERT_GE(res.pieces.size(), 2u);
+  pm::PipelineContext ctx(p, full_block_hint());
+  pm::RunReport r = pm::run_pipeline(
+      pm::parse_pipeline("autoblock(b=KS, commutativity)"), ctx);
+  ASSERT_TRUE(blocked(r.passes[0].note));
+  ASSERT_GE(ctx.pieces.size(), 2u);
 
   // Fig. 8: first piece keeps the point algorithm (pivot search, swap,
   // scale, block-column update); the delayed update runs second.  The
@@ -315,9 +315,7 @@ TEST(BlockLuPivot, PivotChoicesMatchPointAlgorithm) {
   Program p = blk::kernels::lu_pivot_point_ir();
   Program point = blk::kernels::lu_pivot_point_ir();
   p.param("KS");
-  Loop& k = p.body[0]->as_loop();
-  (void)auto_block(p, k, ivar("KS"), full_block_hint(),
-                   /*use_commutativity=*/true);
+  (void)run_note(p, "autoblock(b=KS, commutativity)");
 
   interp::Interpreter ia(point, {{"N", 15}});
   interp::Interpreter ib(p, {{"N", 15}, {"KS", 4}});
@@ -330,13 +328,11 @@ TEST(BlockLuPivot, PivotChoicesMatchPointAlgorithm) {
 }
 
 TEST(BlockLuPlus, DerivesThePaperTwoPlusVariant) {
-  // auto_block_plus = Fig. 6 + unroll-and-jam + scalar replacement: the
+  // autoblockplus = Fig. 6 + unroll-and-jam + scalar replacement: the
   // "2+" code of table T3, derived fully automatically.
   Program p = blk::kernels::lu_point_ir();
   p.param("KS");
-  auto res = auto_block_plus(p, p.body[0]->as_loop(), ivar("KS"), 2,
-                             full_block_hint());
-  ASSERT_TRUE(res.blocked);
+  ASSERT_TRUE(blocked(run_note(p, "autoblockplus(b=KS, u=2)")));
   std::string out = print(p.body);
   // The trailing J loop is jammed by 2 with register accumulators.
   EXPECT_NE(out.find(", N-1, 2"), std::string::npos) << out;
@@ -355,9 +351,8 @@ TEST_P(BlockLuPlusEquivalence, IdenticalToPointAlgorithm) {
   Program point = blk::kernels::lu_point_ir();
   Program plus = blk::kernels::lu_point_ir();
   plus.param("KS");
-  auto res = auto_block_plus(plus, plus.body[0]->as_loop(), ivar("KS"), uf,
-                             full_block_hint());
-  ASSERT_TRUE(res.blocked);
+  ASSERT_TRUE(blocked(
+      run_note(plus, "autoblockplus(b=KS, u=" + std::to_string(uf) + ")")));
   ir::Env env{{"N", n}, {"KS", ks}};
   EXPECT_EQ(0.0, blk::test::run_and_diff(point, plus, env, 19,
                                          {{"A", static_cast<double>(n)}}))
@@ -375,9 +370,8 @@ TEST(BlockLuPlus, PivotedVariantAlsoDerives) {
   Program point = blk::kernels::lu_pivot_point_ir();
   Program plus = blk::kernels::lu_pivot_point_ir();
   plus.param("KS");
-  auto res = auto_block_plus(plus, plus.body[0]->as_loop(), ivar("KS"), 2,
-                             full_block_hint(), /*use_commutativity=*/true);
-  ASSERT_TRUE(res.blocked);
+  ASSERT_TRUE(
+      blocked(run_note(plus, "autoblockplus(b=KS, u=2, commutativity)")));
   for (long n : {11L, 26L}) {
     ir::Env env{{"N", n}, {"KS", 4}};
     EXPECT_EQ(0.0, blk::test::run_and_diff(point, plus, env, 20));

@@ -1,4 +1,4 @@
-// The §3.2 driver: trapezoid splitting + normalization + register
+// The §3.2 optconv pass: trapezoid splitting + normalization + register
 // blocking, fully automatic, on the seismic convolutions.
 #include <gtest/gtest.h>
 
@@ -8,14 +8,22 @@
 #include "ir/printer.hpp"
 #include "ir/validate.hpp"
 #include "kernels/ir_kernels.hpp"
+#include "pm/runner.hpp"
 #include "testutil.hpp"
-#include "transform/blocking.hpp"
 
 namespace blk::transform {
 namespace {
 
 using namespace blk::ir;
 using namespace blk::ir::dsl;
+
+/// Run optconv(u=`unroll`) over `p`; returns the stage note
+/// ("<pieces> pieces, <normalized> normalized, <jammed> jammed").
+std::string optconv(Program& p, long unroll) {
+  return pm::run_spec(p, "optconv(u=" + std::to_string(unroll) + ")")
+      .passes[0]
+      .note;
+}
 
 double run_conv_diff(const Program& a, const Program& b, long size,
                      std::uint64_t seed) {
@@ -33,10 +41,9 @@ double run_conv_diff(const Program& a, const Program& b, long size,
 
 TEST(ConvDriver, AconvSplitsNormalizesAndJams) {
   Program p = blk::kernels::aconv_ir();
-  auto res = optimize_convolution(p, 4);
-  EXPECT_EQ(res.pieces.size(), 2u);   // rhomboid + triangle
-  EXPECT_EQ(res.normalized, 1);       // the rhomboid became rectangular
-  EXPECT_GE(res.jammed, 1);           // and was register-blocked
+  // Rhomboid + triangle; the rhomboid became rectangular and was
+  // register-blocked.
+  EXPECT_EQ(optconv(p, 4), "2 pieces, 1 normalized, 1 jammed");
   std::string out = print(p.body);
   // Four accumulators in registers over the normalized K loop.
   EXPECT_NE(out.find("T0 = F3(I)"), std::string::npos) << out;
@@ -48,10 +55,7 @@ TEST(ConvDriver, ConvSplitsIntoTheFourPaperLoops) {
   // §3.2: "complete splitting ... would result in four separate loops
   // that can each be blocked".
   Program p = blk::kernels::conv_ir();
-  auto res = optimize_convolution(p, 4);
-  EXPECT_EQ(res.pieces.size(), 4u);
-  EXPECT_EQ(res.normalized, 1);
-  EXPECT_GE(res.jammed, 1);
+  EXPECT_EQ(optconv(p, 4), "4 pieces, 1 normalized, 1 jammed");
   EXPECT_NO_THROW(validate_or_throw(p));
 }
 
@@ -62,13 +66,13 @@ TEST_P(ConvDriverEquivalence, BothKernelsExact) {
   {
     Program p = blk::kernels::aconv_ir();
     Program orig = p.clone();
-    (void)optimize_convolution(p, 4);
+    (void)optconv(p, 4);
     EXPECT_EQ(run_conv_diff(orig, p, size, 81), 0.0) << "aconv " << size;
   }
   {
     Program p = blk::kernels::conv_ir();
     Program orig = p.clone();
-    (void)optimize_convolution(p, 3);  // odd factor: remainder paths
+    (void)optconv(p, 3);  // odd factor: remainder paths
     EXPECT_EQ(run_conv_diff(orig, p, size, 82), 0.0) << "conv " << size;
   }
 }
@@ -80,7 +84,7 @@ TEST(ConvDriver, RejectsNonLoopProgram) {
   Program p;
   p.scalar("X");
   p.add(assign(lvs("X"), f(1.0)));
-  EXPECT_THROW((void)optimize_convolution(p), blk::Error);
+  EXPECT_THROW((void)optconv(p, 4), blk::Error);
 }
 
 }  // namespace

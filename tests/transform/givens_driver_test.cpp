@@ -1,4 +1,4 @@
-// The §5.4 driver: Fig. 9 -> Fig. 10 fully automatically.
+// The §5.4 optgivens pass: Fig. 9 -> Fig. 10 fully automatically.
 #include <gtest/gtest.h>
 
 #include "interp/interp.hpp"
@@ -6,8 +6,9 @@
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "kernels/ir_kernels.hpp"
+#include "pm/runner.hpp"
+#include "pm/spec.hpp"
 #include "testutil.hpp"
-#include "transform/blocking.hpp"
 #include "transform/ifinspect.hpp"
 #include "transform/interchange.hpp"
 
@@ -19,8 +20,9 @@ using namespace blk::ir::dsl;
 
 TEST(GivensDriver, DerivesFig10Structure) {
   Program p = blk::kernels::givens_qr_ir();
-  auto res = optimize_givens(p);
-  EXPECT_EQ(res.interchanges, 2);
+  pm::PipelineContext ctx(p);
+  (void)pm::run_pipeline(pm::parse_pipeline("optgivens"), ctx);
+  EXPECT_EQ(ctx.interchanges, 2);
   std::string out = print(p.body);
   // Scalar expansion of the rotation coefficients.
   EXPECT_NE(out.find("CX(J) = A(L,L)/DEN"), std::string::npos) << out;
@@ -47,7 +49,7 @@ TEST_P(GivensDriverEquivalence, MatchesPointAlgorithm) {
   if (n > m) GTEST_SKIP();
   Program p = blk::kernels::givens_qr_ir();
   Program orig = p.clone();
-  (void)optimize_givens(p);
+  (void)pm::run_spec(p, "optgivens");
   ir::Env env{{"M", m}, {"N", n}};
   EXPECT_EQ(0.0, blk::test::run_and_diff(orig, p, env, 97))
       << "M=" << m << " N=" << n;
@@ -62,7 +64,7 @@ TEST(GivensDriver, GuardedZerosHandled) {
   // Zeros below the diagonal exercise the inspector's range bookkeeping.
   Program p = blk::kernels::givens_qr_ir();
   Program orig = p.clone();
-  (void)optimize_givens(p);
+  (void)pm::run_spec(p, "optgivens");
   const long m = 12, n = 8;
   interp::Interpreter ia(orig, {{"M", m}, {"N", n}});
   interp::Interpreter ib(p, {{"M", m}, {"N", n}});
@@ -84,7 +86,7 @@ TEST(GivensDriver, RejectsWrongShape) {
   p.param("N");
   p.array("A", {v("N")});
   p.add(loop("I", c(1), v("N"), assign(lv("A", {v("I")}), f(1.0))));
-  EXPECT_THROW((void)optimize_givens(p), blk::Error);
+  EXPECT_THROW((void)pm::run_spec(p, "optgivens"), blk::Error);
 }
 
 TEST(Privatization, LiveOutScalarBlocksInterchange) {

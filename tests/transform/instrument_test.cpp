@@ -9,7 +9,6 @@
 #include "ir/builder.hpp"
 #include "kernels/ir_kernels.hpp"
 #include "pm/runner.hpp"
-#include "transform/blocking.hpp"
 #include "transform/instrument.hpp"
 #include "transform/stripmine.hpp"
 #include "verify/pipeline.hpp"
@@ -96,8 +95,8 @@ TEST(Instrument, ConcurrentObservedPipelinesDoNotInterfere) {
       verify::VerifiedPipeline vp(p);
       analysis::Assumptions hints;
       hints.assert_le(v("K") + v("KS") - 1, v("N") - 1);
-      auto res = auto_block(p, p.body[0]->as_loop(), ivar("KS"), hints);
-      if (!res.blocked) {
+      pm::RunReport r = pm::run_spec(p, "autoblock(b=KS)", hints);
+      if (r.passes[0].note.rfind("blocked", 0) != 0) {
         results[t] = "not blocked";
         return;
       }

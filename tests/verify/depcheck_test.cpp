@@ -250,8 +250,7 @@ TEST(DepCheck, CommutativeRowSwapWhitelisted) {
 
   Report without = check_dependence_preservation(
       pre, post,
-      {.ctx = nullptr, .allow_commutative_swaps = false,
-       .check_scalars = true});
+      {.ctx = nullptr, .allow_commutative_swaps = false});
   EXPECT_FALSE(without.ok());
 }
 

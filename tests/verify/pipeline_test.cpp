@@ -6,7 +6,8 @@
 #include "ir/error.hpp"
 #include "ir/printer.hpp"
 #include "kernels/ir_kernels.hpp"
-#include "transform/blocking.hpp"
+#include "pm/runner.hpp"
+#include "pm/spec.hpp"
 #include "transform/ifinspect.hpp"
 #include "transform/interchange.hpp"
 #include "verify/pipeline.hpp"
@@ -26,9 +27,8 @@ TEST(VerifiedPipeline, BlockLuDerivationVerifies) {
   hints.assert_le(v("K") + v("KS") - 1, v("N") - 1);
 
   VerifiedPipeline vp(p, {.ctx = &hints});
-  auto res = transform::auto_block_plus(p, p.body[0]->as_loop(), ivar("KS"),
-                                        2, hints);
-  EXPECT_TRUE(res.blocked);
+  pm::RunReport r = pm::run_spec(p, "autoblockplus(b=KS, u=2)", hints);
+  EXPECT_EQ(r.passes[0].note.rfind("blocked", 0), 0u) << r.passes[0].note;
   EXPECT_FALSE(vp.steps().empty());
   EXPECT_TRUE(vp.ok()) << vp.to_string() << print(p.body);
 }
@@ -38,8 +38,8 @@ TEST(VerifiedPipeline, ConvolutionDerivationVerifies) {
   // replacement on the seismic convolution.
   Program p = kernels::conv_ir();
   VerifiedPipeline vp(p);
-  auto res = transform::optimize_convolution(p, 4);
-  EXPECT_FALSE(res.pieces.empty());
+  pm::RunReport r = pm::run_spec(p, "optconv(u=4)");
+  EXPECT_EQ(r.passes[0].note, "4 pieces, 1 normalized, 1 jammed");
   EXPECT_FALSE(vp.steps().empty());
   EXPECT_TRUE(vp.ok()) << vp.to_string() << print(p.body);
 }
@@ -49,8 +49,10 @@ TEST(VerifiedPipeline, GivensDerivationVerifies) {
   // IF-inspection, then interchanges of the executor nest.
   Program p = kernels::givens_qr_ir();
   VerifiedPipeline vp(p);
-  auto res = transform::optimize_givens(p);
-  EXPECT_NE(res.column_loop, nullptr);
+  pm::PipelineContext ctx(p);
+  (void)pm::run_pipeline(pm::parse_pipeline("optgivens"), ctx);
+  ASSERT_NE(ctx.range_loop, nullptr);
+  EXPECT_EQ(ctx.range_loop->var, "K");  // the update loop, now outermost
   EXPECT_FALSE(vp.steps().empty());
   EXPECT_TRUE(vp.ok()) << vp.to_string() << print(p.body);
 }

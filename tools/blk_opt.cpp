@@ -14,7 +14,10 @@
 // runs "selectblock(grid); autoblock(b=KS)": the machine model picks KS
 // (analytic working-set candidates refined by a cache-simulator sweep),
 // prints the model-vs-sweep evidence, and exits 1 when the chosen KS's
-// metric is not within --tolerance of the swept optimum.
+// metric is not within --tolerance of the swept optimum.  Probe size,
+// trace sampling and sweep threads are selectblock options:
+//
+//   blk-opt --auto-b -p "selectblock(grid, sample=64); autoblock(b=KS)" lu.f
 //
 // Options:
 //   -p, --pipeline SPEC  the pass pipeline (required unless --auto-b;
@@ -26,15 +29,9 @@
 //                        (repeatable, L1 first; default one 64K/64B/4 L1)
 //   --latency LIST       comma-separated per-level + memory hit latencies
 //                        (cycles); arity num_levels+1 ranks by AMAT
-//   --probe N            parameter probe size for the default --auto-b
-//                        pipeline (default: sized to overflow L1)
 //   --tolerance PCT      --auto-b acceptance band in percent (default 10)
 //   --model_json PATH    write the BlockChoice record (analytic prediction
 //                        plus measured sweep) as JSON
-//   --sample K           replay every K-th block instance in the sweep
-//                        (validated against a full replay, falls back
-//                        automatically; default 1 = full traces)
-//   --sweep-workers N    simulation threads for the sweep (default auto)
 //   --assume FACT        add a symbolic fact for the analyses (repeatable)
 //   --check BINDINGS     run the original and transformed programs with the
 //                        given parameter bindings (e.g. N=24,BS=5) and
@@ -72,9 +69,9 @@
 //
 // Exit status: 0 success, 1 verification/check/golden failure, 2 usage or
 // compile error, 3 incompatible-option usage (--threads/--parallel with a
-// non-native engine — the code blk-lint and blk-verify use for usage
-// errors, kept distinct from 2 so scripts can tell "bad invocation" from
-// "bad input").
+// non-native engine — the code blk-lint uses for usage errors, kept
+// distinct from 2 so scripts can tell "bad invocation" from "bad
+// input").
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -125,17 +122,8 @@ blk::ir::Env parse_bindings(const std::string& text,
   return env;
 }
 
-/// Seed every array of an engine from its name (matching the test suite's
-/// convention, so temporaries introduced by transformation do not shift
-/// the shared arrays' streams).
-void seed_inputs(blk::interp::ExecEngine& e, std::uint64_t seed) {
-  for (auto& [name, t] : e.store().arrays) {
-    std::uint64_t k = seed;
-    for (char ch : name)
-      k = k * 1099511628211ULL + static_cast<unsigned char>(ch);
-    blk::interp::fill_random(t, k);
-  }
-}
+/// Input seed of every --check run.
+constexpr std::uint64_t kCheckSeed = 0x5eed;
 
 /// Max elementwise difference between the two programs' results under
 /// `params` on the chosen engine.
@@ -144,8 +132,8 @@ double run_and_diff(const blk::ir::Program& a, const blk::ir::Program& b,
                     blk::interp::Engine engine) {
   blk::interp::ExecEngine ia(a, params, engine);
   blk::interp::ExecEngine ib(b, params, engine);
-  seed_inputs(ia, 0x5eed);
-  seed_inputs(ib, 0x5eed);
+  blk::interp::seed_store(ia.store(), kCheckSeed);
+  blk::interp::seed_store(ib.store(), kCheckSeed);
   ia.run();
   ib.run();
   return blk::interp::max_abs_diff(ia.store(), ib.store());
@@ -203,8 +191,8 @@ bool cross_check_parallel(const blk::ir::Program& p, const blk::ir::Env& env,
                           const blk::ir::ParallelOptions& plan) {
   blk::interp::ExecEngine ser(p, env, blk::interp::Engine::Native);
   blk::interp::ExecEngine par(p, env, blk::interp::Engine::Native, &plan);
-  seed_inputs(ser, 0x5eed);
-  seed_inputs(par, 0x5eed);
+  blk::interp::seed_store(ser.store(), kCheckSeed);
+  blk::interp::seed_store(par.store(), kCheckSeed);
   ser.run();
   par.run();
   DiffSite site = find_max_diff(ser.store(), par.store());
@@ -232,8 +220,8 @@ bool cross_check_native(const blk::ir::Program& p, const blk::ir::Env& env,
                         const char* what) {
   blk::interp::ExecEngine vm(p, env, blk::interp::Engine::Vm);
   blk::interp::ExecEngine nat(p, env, blk::interp::Engine::Native);
-  seed_inputs(vm, 0x5eed);
-  seed_inputs(nat, 0x5eed);
+  blk::interp::seed_store(vm.store(), kCheckSeed);
+  blk::interp::seed_store(nat.store(), kCheckSeed);
   vm.run();
   nat.run();
   DiffSite site = find_max_diff(vm.store(), nat.store());
@@ -308,11 +296,8 @@ int main(int argc, char** argv) {
   bool auto_b = false;
   std::vector<blk::cachesim::CacheConfig> machine;
   std::vector<double> latencies;
-  long probe = 0;
   double tolerance = 0.10;
   std::string model_json_path;
-  long sample_every = 1;
-  long sweep_workers = 0;
   bool parallel = false;
   long threads = 0;
 
@@ -376,25 +361,10 @@ int main(int argc, char** argv) {
         std::string item;
         while (std::getline(is, item, ','))
           latencies.push_back(std::stod(item));
-      } else if (arg == "--probe") {
-        probe = std::stol(need_value("--probe"));
       } else if (arg == "--tolerance") {
         tolerance = std::stod(need_value("--tolerance")) / 100.0;
       } else if (arg == "--model_json") {
         model_json_path = need_value("--model_json");
-      } else if (arg == "--sample") {
-        sample_every = std::stol(need_value("--sample"));
-        if (sample_every < 1) {
-          std::cerr << "blk-opt: --sample wants a stride >= 1\n";
-          return 2;
-        }
-      } else if (arg == "--sweep-workers") {
-        sweep_workers = std::stol(need_value("--sweep-workers"));
-        if (sweep_workers < 0) {
-          std::cerr << "blk-opt: --sweep-workers wants a non-negative "
-                       "count\n";
-          return 2;
-        }
       } else if (arg == "--no-verify") {
         verify = false;
       } else if (arg == "--quiet") {
@@ -409,11 +379,9 @@ int main(int argc, char** argv) {
                      "               [--engine tree|vm|native]\n"
                      "               [--keep-c DIR] [--bench_json PATH] "
                      "[--no-verify] [--quiet] [file.f]\n"
-                     "       blk-opt --auto-b [--cache SIZE/LINE/ASSOC]... "
-                     "[--latency L1,..,MEM]\n"
-                     "               [--probe N] [--tolerance PCT] "
-                     "[--model_json PATH]\n"
-                     "               [--sample K] [--sweep-workers N] "
+                     "       blk-opt --auto-b [-p SPEC] "
+                     "[--cache SIZE/LINE/ASSOC]... [--latency L1,..,MEM]\n"
+                     "               [--tolerance PCT] [--model_json PATH] "
                      "[file.f]\n"
                      "       blk-opt -p SPEC --engine=native --parallel "
                      "[--threads N] [--check ...]...\n"
@@ -453,13 +421,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     // The canonical §6 pipeline: model-chosen KS through the §5.1 driver.
-    spec = "selectblock(grid";
-    if (probe > 0) spec += ", probe=" + std::to_string(probe);
-    if (sample_every > 1)
-      spec += ", sample=" + std::to_string(sample_every);
-    if (sweep_workers > 0)
-      spec += ", workers=" + std::to_string(sweep_workers);
-    spec += "); autoblock(b=KS)";
+    spec = "selectblock(grid); autoblock(b=KS)";
   }
   if (parallel && spec.find("parallelize") == std::string::npos)
     spec += "; parallelize(check)";
