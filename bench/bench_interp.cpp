@@ -1,6 +1,6 @@
-// A4: execution-engine throughput — the tree-walking interpreter (the
-// correctness oracle) vs the bytecode VM that now backs every simulation
-// and differential test.  Reported in IR statements/second on the §5.1 LU
+// Execution-engine throughput (DESIGN §9; no §4 experiment id): the
+// tree-walking interpreter (the correctness oracle) vs the bytecode VM
+// that now backs every simulation and differential test.  Reported in IR statements/second on the §5.1 LU
 // kernel; the VM must clear 10x.  Also times the traced configuration that
 // feeds the cache simulator, since that is the path the A1/T3 tables pay.
 //

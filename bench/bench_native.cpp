@@ -1,7 +1,8 @@
-// A5: the native JIT engine (IR -> C -> host toolchain -> dlopen) vs the
-// bytecode VM across the paper's kernels — point and auto-blocked LU
-// (§5.1), pivoted LU through the declarative pipeline (§5.2), Givens QR
-// (§5.4), and convolution (§4) — at sizes the VM cannot reach interactively.
+// The native JIT engine (DESIGN §12; no §4 experiment id): IR -> C ->
+// host toolchain -> dlopen, vs the bytecode VM across the paper's kernels
+// — point and auto-blocked LU (§5.1), pivoted LU through the declarative
+// pipeline (§5.2), Givens QR (§5.4), and convolution (§4) — at sizes the
+// VM cannot reach interactively.
 // The JIT must clear 20x over the VM on point LU.
 //
 // Writes machine-readable results (BENCH_native.json by default, override

@@ -1,14 +1,18 @@
-// The paper's timing tables (T1-T5) and the A2 block-size sweep on the
-// compiler's own output: every derived row runs the pm spec that produces
-// the paper's variant from a point program (kernels::*_ir()) under
-// verify::VerifiedPipeline and compiles it at the native hot tier
-// (opt_level 3: -O3 -funroll-loops).  Hand C++ rows remain only where the
+// The paper's timing tables (T1-T5), the A2 block-size sweep and the A3
+// Householder comparison on the compiler's own output: every derived row
+// runs the pm spec that produces the paper's variant from a point program
+// (kernels::*_ir()) under verify::VerifiedPipeline and compiles it at the
+// native hot tier (opt_level 3: -O3 -funroll-loops).  The block algorithms
+// the compiler cannot derive (T3's Sorensen "1", A3's compact-WY
+// Householder) are §6 BLOCK DO programs from tools/examples, their factor
+// BS_K bound to the table's KS.  Hand C++ rows remain only where the
 // compiler does not yet match them.  Gates run before any timing, for every
 // row whatever --benchmark_filter selects, and any failure exits 1: each
-// derivation verifies, each derived program is bitwise equal to its
-// table's point program on the VM at a small binding, each native kernel
-// is bitwise equal to the VM there, and each hand row is within its
-// tolerance of the point row.  Writes BENCH_paper.json (--bench_json=).
+// derivation verifies, each row's program (or hand kernel) is bitwise
+// equal to its table's point program on the VM at a small binding, or
+// within the row's tolerance where it reassociates, and each native kernel
+// is bitwise equal to the VM there.  Writes BENCH_paper.json
+// (--bench_json=).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +33,7 @@
 #include "kernels/ir_kernels.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/qr_givens.hpp"
+#include "lang/parser.hpp"
 #include "native/engine.hpp"
 #include "pm/runner.hpp"
 #include "pm/spec.hpp"
@@ -70,6 +75,7 @@ struct Variant {
   std::string spec{};                 ///< pm spec ("" = the source as is)
   std::size_t reads = 0;  ///< leading size args the row depends on (0: all)
   void (*hand)(Inputs&) = nullptr;  ///< hand rows: the C++ kernel
+  double tol = 0.0;  ///< allowed distance from the point row (0: bitwise)
   Derived* derived = nullptr;
 };
 
@@ -91,12 +97,19 @@ struct Table {
   /// matmul) run back to back instead: their calls take microseconds, which
   /// pausing the timer would swamp.
   bool restore = false;
-  double tol = 0.0;                   ///< hand rows vs the point row
   std::string refused{};  ///< a spec the compiler must refuse (T2's UJ)
 };
 
+/// A §6 BLOCK DO program from tools/examples, compiled with its factor
+/// BS_K left symbolic: the tables bind it to their KS.
+ir::Program example(const std::string& file) {
+  return lang::compile(lang::read_source(BLK_EXAMPLES_DIR "/" + file))
+      .program;
+}
+
 Inputs square(long n, std::uint64_t seed, double diag_boost, long ks = 1) {
-  Inputs in{.env = {{"N", n}, {"M", n}, {"KS", ks}}, .a = Matrix(n, n)};
+  Inputs in{.env = {{"N", n}, {"M", n}, {"KS", ks}, {"BS_K", ks}},
+            .a = Matrix(n, n)};
   kernels::fill_random(in.a, seed);
   for (long i = 0; i < n; ++i) in.a(i, i) += diag_boost;
   return in;
@@ -115,8 +128,7 @@ Table conv_table(std::string id, std::string title, ir::Program (*source)(),
           .sizes = {{300}, {500}, {2000}}, .gate = {24},
           .variants = {ir_row("point", source),
                        ir_row("optconv", source, "optconv(u=4)"),
-                       {.name = "hand-optconv", .hand = hand}},
-          .tol = 1e-12};
+                       {.name = "hand-optconv", .hand = hand, .tol = 1e-12}}};
 }
 
 std::vector<Table> make_tables() {
@@ -152,17 +164,21 @@ std::vector<Table> make_tables() {
                     ir_row("UJ+IF", kernels::matmul_guarded_ir,
                            "focus(var=K); ifinspect; focus(var=K, index=1); "
                            "unrolljam(u=4)"),
-                    {.name = "hand-UJ", .hand = [](Inputs& in) {
+                    {.name = "hand-UJ",
+                     .hand = [](Inputs& in) {
                        kernels::matmul_uj_guard_inside(in.a, in.b, in.c);
-                     }},
-                    {.name = "hand-UJ+IF", .hand = [](Inputs& in) {
+                     },
+                     .tol = 1e-11},
+                    {.name = "hand-UJ+IF",
+                     .hand = [](Inputs& in) {
                        kernels::matmul_uj_ifinspect(in.a, in.b, in.c);
-                     }}},
-       .tol = 1e-11, .refused = "focus(var=K); unrolljam(u=4)"},
+                     },
+                     .tol = 1e-11}},
+       .refused = "focus(var=K); unrolljam(u=4)"},
       {.id = "T3", .title = "LU without pivoting (paper: 2.53-3.17x for 2+)",
        .make = lu_in, .sizes = lu, .gate = {24, 5},
        .variants = {ir_row("point", lu_point_ir, "", 1),
-                    ir_row("1", kernels::lu_sorensen_ir),
+                    ir_row("1", [] { return example("lu_sorensen.f"); }),
                     ir_row("2", lu_point_ir, "autoblock(b=KS)"),
                     ir_row("2+", lu_point_ir, plus)},
        .facts = block, .restore = true},
@@ -179,10 +195,24 @@ std::vector<Table> make_tables() {
        .sizes = {{300}, {500}, {1000}}, .gate = {24},
        .variants = {ir_row("point", kernels::givens_qr_ir),
                     ir_row("optgivens", kernels::givens_qr_ir, "optgivens"),
-                    {.name = "hand-optgivens", .hand = [](Inputs& in) {
-                       kernels::givens_qr_opt(in.a);
-                     }}},
-       .restore = true, .tol = 1e-10},
+                    {.name = "hand-optgivens",
+                     .hand = [](Inputs& in) { kernels::givens_qr_opt(in.a); },
+                     .tol = 1e-10}},
+       .restore = true},
+      {.id = "A3",
+       .title = "Householder QR, compact-WY BLOCK DO (§5.3: underivable)",
+       .make = [](const Args& s) { return square(s[0], 29, 0, s[1]); },
+       .sizes = {{300, 16}, {300, 32}, {500, 16}, {500, 32}, {1000, 16},
+                 {1000, 32}},
+       .gate = {24, 5},
+       .variants = {ir_row("point", [] { return example("householder.f"); },
+                           "", 1),
+                    // Applying the block's reflectors at once reassociates
+                    // the trailing update.
+                    {.name = "WY",
+                     .source = [] { return example("householder_wy.f"); },
+                     .tol = 1e-12}},
+       .restore = true},
       {.id = "A2/lu", .title = "block-size sweep, LU 2+", .make = lu_in,
        .sizes = sweep, .gate = {24, 5},
        .variants = {ir_row("point", lu_point_ir, "", 1),
@@ -293,15 +323,11 @@ std::vector<std::string> derive_and_gate(std::vector<Table>& tables,
         if (!v.hand) v.derived = &derive(v, t.facts);
         Inputs out = g;
         bind(v, out)();
-        if (v.hand) {
-          if (!(max_diff(out, ref) <= t.tol))
-            failed.push_back(row + "hand kernel off the point row by " +
-                             std::to_string(max_diff(out, ref)));
-          continue;
-        }
-        Inputs vm = run_vm(v.derived->prog, g);
-        if (!bitwise_equal(vm, ref))
-          failed.push_back(row + "derived program differs from point");
+        Inputs vm = v.hand ? out : run_vm(v.derived->prog, g);
+        if (v.tol > 0 ? !(max_diff(vm, ref) <= v.tol)
+                      : !bitwise_equal(vm, ref))
+          failed.push_back(row + "off the point row by " +
+                           std::to_string(max_diff(vm, ref)));
         if (!bitwise_equal(out, vm))
           failed.push_back(row + "native kernel differs from the VM");
       }

@@ -1,4 +1,4 @@
-// A6 (§14): certified multicore scaling of the parallel native backend.
+// A4 (§14): certified multicore scaling of the parallel native backend.
 //
 // Three programs whose plans come straight out of `parallelize(check)` —
 // the certifier labels the loops, the race re-check cross-examines the

@@ -1,6 +1,6 @@
-// A5: pass-manager analysis caching — the same declarative pipelines with
-// the context's AnalysisManager caching on (the default) vs off (every
-// query rebuilt, the pre-manager behaviour).  The interesting number is
+// Pass-manager analysis caching (DESIGN §10; no §4 experiment id): the
+// same declarative pipelines with the context's AnalysisManager caching on
+// (the default) vs off (every query rebuilt, the pre-manager behaviour).  The interesting number is
 // the analysis-construction time the cache saves: Procedure IndexSetSplit
 // alone used to rebuild the same dependence graph three to four times per
 // trial iteration.  Target: >= 1.5x analysis-time reduction on the §5.1

@@ -110,38 +110,6 @@ Program lu_point_ir() {
   return p;
 }
 
-Program lu_sorensen_ir() {
-  Program p;
-  p.param("N");
-  p.param("KS");
-  p.array("A", {v("N"), v("N")});
-  // Last column of the KB block (the ragged final block stops at N-1).
-  auto ke = [] { return imin(v("KB") + v("KS") - 1, v("N") - 1); };
-  auto update = [](const char* j) {
-    return assign(lv("A", {v("I"), v(j)}),
-                  a("A", {v("I"), v(j)}) -
-                      a("A", {v("I"), v("KK")}) * a("A", {v("KK"), v(j)}),
-                  10);
-  };
-  p.add(loop_step(
-      "KB", c(1), v("N") - 1, v("KS"),
-      // Panel: the point algorithm confined to the block's columns.
-      loop("KK", v("KB"), ke(),
-           loop("I", v("KK") + 1, v("N"),
-                assign(lv("A", {v("I"), v("KK")}),
-                       a("A", {v("I"), v("KK")}) /
-                           a("A", {v("KK"), v("KK")}),
-                       20)),
-           loop("J", v("KK") + 1, ke(),
-                loop("I", v("KK") + 1, v("N"), update("J")))),
-      // Trailing update, one column at a time: the panel's delayed
-      // eliminations applied to column J in point order.
-      loop("J", ke() + 1, v("N"),
-           loop("KK", v("KB"), ke(),
-                loop("I", v("KK") + 1, v("N"), update("J"))))));
-  return p;
-}
-
 Program lu_pivot_point_ir() {
   Program p;
   p.param("N");

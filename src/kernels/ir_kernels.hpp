@@ -1,7 +1,9 @@
 // The paper's kernels expressed as IR programs.
 //
 // These are the machine-independent "point algorithms" the study starts
-// from; the transformation engine derives the block forms from them.  Each
+// from; the transformation engine derives the block forms from them.  The
+// block algorithms it cannot derive (Sorensen's LU "1", compact-WY
+// Householder QR) are §6 BLOCK DO programs in tools/examples/.  Each
 // factory returns a fresh Program (callers own it and may mutate freely).
 #pragma once
 
@@ -44,20 +46,6 @@ namespace blk::kernels {
 ///     DO J = K+1,N / DO I = K+1,N
 ///       A(I,J) = A(I,J) - A(I,K)*A(K,J)             ! 10
 [[nodiscard]] ir::Program lu_point_ir();
-
-/// §5.1's hand-coded block algorithm "1" (Sorensen's version), the one LU
-/// variant the compiler cannot derive: factor each KS-wide panel with the
-/// point algorithm, then apply the panel's eliminations to every trailing
-/// column in turn.  Performs the point algorithm's operations per element
-/// in the same order, so its factors equal lu_point_ir's bitwise.
-///   DO KB = 1,N-1,KS
-///     DO KK = KB,MIN(KB+KS-1,N-1)
-///       DO I = KK+1,N / A(I,KK) = A(I,KK)/A(KK,KK)   ! 20
-///       DO J = KK+1,MIN(KB+KS-1,N-1) / DO I = KK+1,N
-///         A(I,J) = A(I,J) - A(I,KK)*A(KK,J)         ! 10
-///     DO J = MIN(KB+KS-1,N-1)+1,N / DO KK = KB,MIN(KB+KS-1,N-1)
-///       DO I = KK+1,N / A(I,J) = A(I,J) - A(I,KK)*A(KK,J)  ! 10
-[[nodiscard]] ir::Program lu_sorensen_ir();
 
 /// §5.2 LU decomposition with partial pivoting (Fig. 7).  The pivot search
 /// writes the integer scalar IMAX; the row-interchange loop is statements

@@ -1,6 +1,9 @@
 #include "lang/parser.hpp"
 
+#include <fstream>
+#include <iostream>
 #include <set>
+#include <sstream>
 
 #include "ir/error.hpp"
 #include "lang/lexer.hpp"
@@ -23,14 +26,43 @@ class Parser {
     }
     res_.program.body = parse_stmts({});
     expect(Tok::End, "end of input");
+    for (const auto& [name, line] : extent_names_)
+      if (!res_.program.has_param(name))
+        throw Error("parse: " + name +
+                    " in an array bound is neither a PARAMETER nor a BLOCK "
+                    "DO factor at line " + std::to_string(line));
     return std::move(res_);
   }
 
  private:
+  /// Deepest statement or expression nesting accepted: past it the parser
+  /// reports an error instead of overflowing its recursion.
+  static constexpr int kMaxDepth = 256;
+
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
   CompileResult res_;
   std::set<std::string> loop_vars_;
+  int depth_ = 0;
+  /// Names in declared array bounds and their lines.  They are checked at
+  /// the end of input: a bound may name a BLOCK DO factor, BS_<var>, which
+  /// the BLOCK DO declares after the declarations.
+  std::vector<std::pair<std::string, int>> extent_names_;
+
+  /// Counts one level of nesting for the lifetime of a recursive call.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxDepth)
+        p_.fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
 
   struct BlockCtx {
     std::string var;
@@ -113,6 +145,10 @@ class Parser {
           break;
         }
         expect(Tok::RParen, ")");
+        for (const Dim& d : dims)
+          for (const IExprPtr* e : {&d.lb, &d.ub})
+            for (std::string& n : free_vars(*e))
+              extent_names_.emplace_back(std::move(n), cur().line);
         res_.program.array_bounds(name, std::move(dims));
       } else {
         res_.program.scalar(name);
@@ -139,6 +175,7 @@ class Parser {
   }
 
   StmtPtr parse_stmt() {
+    Nest nest(*this);
     if (is_ident("DO")) return parse_do(/*block=*/false);
     if (is_ident("BLOCK")) {
       advance();
@@ -328,6 +365,7 @@ class Parser {
   }
 
   IExprPtr parse_ifactor() {
+    Nest nest(*this);
     if (is(Tok::Minus)) {
       advance();
       return isub(iconst(0), parse_ifactor());
@@ -405,6 +443,7 @@ class Parser {
   }
 
   VExprPtr parse_vfactor() {
+    Nest nest(*this);
     if (is(Tok::Minus)) {
       advance();
       return vneg(parse_vfactor());
@@ -462,6 +501,18 @@ class Parser {
 
 CompileResult compile(std::string_view source) {
   return Parser(source).run();
+}
+
+std::string read_source(const std::string& path) {
+  std::ostringstream os;
+  if (path == "-") {
+    os << std::cin.rdbuf();
+  } else {
+    std::ifstream in(path);
+    if (!in) throw Error("cannot open " + path);
+    os << in.rdbuf();
+  }
+  return os.str();
 }
 
 }  // namespace blk::lang

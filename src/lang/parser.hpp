@@ -3,6 +3,7 @@
 // Declarations:
 //   PARAMETER N, KS
 //   REAL*8 A(N,N), F2(-N2:0)
+//   REAL*8 T(BS_K,BS_K)             ! bounds may name a BLOCK DO factor
 //   REAL*8 TAU                      ! scalars have no dimensions
 // Statements:
 //   DO V = lb, ub [, step] ... ENDDO
@@ -12,7 +13,9 @@
 //   IF (expr .OP. expr) THEN ... [ELSE ...] ENDIF
 //   [label:] lvalue = expression
 // Index expressions may use MIN(...), MAX(...) (any arity >= 2) and
-// LAST(V) inside an IN-region (§6).
+// LAST(V) inside an IN-region (§6).  Array bounds may name PARAMETERs and
+// BLOCK DO factors only.  Nesting of statements and expressions is capped
+// at a fixed depth.
 //
 // Each BLOCK DO introduces a fresh symbolic blocking-factor parameter
 // named BS_<var> recorded in CompileResult::block_params; callers bind it
@@ -39,5 +42,9 @@ struct CompileResult {
 /// Parse and lower mini-Fortran source text.  Throws blk::Error with a
 /// line number on syntax or symbol errors.
 [[nodiscard]] CompileResult compile(std::string_view source);
+
+/// The text of the source file `path` ("-": standard input).  Throws
+/// blk::Error when the file cannot be opened.
+[[nodiscard]] std::string read_source(const std::string& path);
 
 }  // namespace blk::lang

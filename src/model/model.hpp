@@ -118,7 +118,7 @@ struct AnalyticModel {
                                                  const MachineParams& machine);
 
 /// The full decision record: analytic prediction, swept evidence, choice.
-/// Produced by the selectblock pass / blk-opt --auto-b / bench_autoblock.
+/// Produced by the selectblock pass (blk-opt --auto-b).
 struct BlockChoice {
   std::string ks_name = "KS";
   long ks = 0;            ///< final choice
@@ -157,7 +157,7 @@ struct BlockChoice {
   [[nodiscard]] bool within_tolerance(double tolerance = 0.10) const;
 
   [[nodiscard]] std::string to_string() const;  ///< human-readable table
-  [[nodiscard]] std::string to_json() const;    ///< BENCH_model.json row
+  [[nodiscard]] std::string to_json() const;    ///< blk-opt --model_json
 };
 
 }  // namespace blk::model

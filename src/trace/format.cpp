@@ -1,8 +1,5 @@
 #include "trace/format.hpp"
 
-#include <cstdio>
-#include <cstring>
-
 #include "interp/vm.hpp"
 #include "ir/error.hpp"
 
@@ -360,63 +357,6 @@ EncodedTrace record_trace(const ir::Program& p, const ir::Env& params,
   eng.run(buf);
   buf.flush();
   enc.finish();
-  return t;
-}
-
-// ---- Disk round-trip --------------------------------------------------------
-
-namespace {
-constexpr char kMagic[8] = {'B', 'L', 'K', 'T', 'R', 'C', '0', '1'};
-
-struct FileCloser {
-  std::FILE* f;
-  ~FileCloser() {
-    if (f) std::fclose(f);
-  }
-};
-}  // namespace
-
-void EncodedTrace::save(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw Error("EncodedTrace::save: cannot open " + path);
-  FileCloser closer{f};
-  const std::uint64_t nbytes = bytes.size();
-  const std::uint64_t nsyncs = syncs.size();
-  bool ok = std::fwrite(kMagic, 1, sizeof kMagic, f) == sizeof kMagic &&
-            std::fwrite(&records, sizeof records, 1, f) == 1 &&
-            std::fwrite(&nbytes, sizeof nbytes, 1, f) == 1 &&
-            std::fwrite(&nsyncs, sizeof nsyncs, 1, f) == 1;
-  for (const SyncPoint& sp : syncs)
-    ok = ok && std::fwrite(&sp.byte_offset, sizeof sp.byte_offset, 1, f) == 1 &&
-         std::fwrite(&sp.record_index, sizeof sp.record_index, 1, f) == 1;
-  if (nbytes != 0)
-    ok = ok && std::fwrite(bytes.data(), 1, nbytes, f) == nbytes;
-  if (!ok) throw Error("EncodedTrace::save: short write to " + path);
-}
-
-EncodedTrace EncodedTrace::load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw Error("EncodedTrace::load: cannot open " + path);
-  FileCloser closer{f};
-  char magic[8];
-  EncodedTrace t;
-  std::uint64_t nbytes = 0;
-  std::uint64_t nsyncs = 0;
-  bool ok = std::fread(magic, 1, sizeof magic, f) == sizeof magic &&
-            std::memcmp(magic, kMagic, sizeof kMagic) == 0 &&
-            std::fread(&t.records, sizeof t.records, 1, f) == 1 &&
-            std::fread(&nbytes, sizeof nbytes, 1, f) == 1 &&
-            std::fread(&nsyncs, sizeof nsyncs, 1, f) == 1;
-  if (!ok) throw Error("EncodedTrace::load: bad header in " + path);
-  t.syncs.resize(nsyncs);
-  for (SyncPoint& sp : t.syncs)
-    ok = ok && std::fread(&sp.byte_offset, sizeof sp.byte_offset, 1, f) == 1 &&
-         std::fread(&sp.record_index, sizeof sp.record_index, 1, f) == 1;
-  t.bytes.resize(nbytes);
-  if (nbytes != 0) ok = ok && std::fread(t.bytes.data(), 1, nbytes, f) == nbytes;
-  if (!ok) throw Error("EncodedTrace::load: truncated file " + path);
-  if (t.syncs.empty() || t.syncs.front() != SyncPoint{0, 0})
-    throw Error("EncodedTrace::load: malformed sync table in " + path);
   return t;
 }
 

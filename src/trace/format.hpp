@@ -56,7 +56,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "interp/trace.hpp"
@@ -87,11 +86,6 @@ struct EncodedTrace {
                          : static_cast<double>(raw_bytes()) /
                                static_cast<double>(bytes.size());
   }
-
-  /// Binary round-trip to disk (magic + counts + sync table + bytes).
-  /// Throws blk::Error on I/O failure or a malformed file.
-  void save(const std::string& path) const;
-  [[nodiscard]] static EncodedTrace load(const std::string& path);
 };
 
 /// Streaming encoder.  Feed accesses with append() (or hook a TraceBuffer

@@ -322,11 +322,6 @@ SplitReport index_set_split(StmtList& root, Loop& carrier,
         IExprPtr saved_ub = solved->loop->ub;
         auto [lo, hi] = split_at(root, *solved->loop, solved->point);
         BodyShape after = shape_of(root, carrier, base, use_commutativity);
-        if (getenv("BLK_TRACE_SPLIT"))
-          fprintf(stderr, "trial %s@%s: parts %zu->%zu rec %d->%d\n",
-                  solved->loop->var.c_str(), to_string(solved->point).c_str(),
-                  before.parts, after.parts, (int)before.recurrence,
-                  (int)after.recurrence);
         if (after.parts > before.parts || !after.recurrence) {
           ++report.splits;
           progressed = true;

@@ -6,6 +6,7 @@
 #include "ir/validate.hpp"
 #include "kernels/ir_kernels.hpp"
 #include "pm/runner.hpp"
+#include "testutil.hpp"
 #include "transform/ifinspect.hpp"
 
 namespace blk::ir {
@@ -19,12 +20,14 @@ TEST(Validate, AllKernelFactoriesAreWellFormed) {
       blk::kernels::lu_point_ir,       blk::kernels::lu_pivot_point_ir,
       blk::kernels::givens_qr_ir,      blk::kernels::matmul_guarded_ir,
       blk::kernels::conv_ir,           blk::kernels::aconv_ir,
-      blk::kernels::sum_example_ir,    blk::kernels::partial_recurrence_ir,
-      blk::kernels::lu_sorensen_ir};
+      blk::kernels::sum_example_ir,    blk::kernels::partial_recurrence_ir};
   for (Factory f : factories) {
     Program p = f();
     EXPECT_TRUE(validate(p).empty());
   }
+  for (const char* file :
+       {"lu_sorensen.f", "householder.f", "householder_wy.f"})
+    EXPECT_TRUE(validate(blk::test::example(file)).empty()) << file;
 }
 
 TEST(Validate, DerivedProgramsStayWellFormed) {

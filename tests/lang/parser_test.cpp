@@ -4,6 +4,7 @@
 #include <random>
 
 #include "interp/interp.hpp"
+#include "interp/vm.hpp"
 #include "ir/error.hpp"
 #include "ir/printer.hpp"
 #include "kernels/ir_kernels.hpp"
@@ -111,6 +112,73 @@ TEST(Parser, ErrorsCarryLineNumbers) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
   }
+}
+
+/// The message of the blk::Error compiling `src` throws ("" if none).
+std::string compile_error(const std::string& src) {
+  try {
+    (void)compile(src);
+  } catch (const blk::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Parser, DeepNestingIsRejectedWithItsLine) {
+  // Nesting past the parser's fixed depth is an error naming the line, not
+  // a stack overflow: 200k parentheses, a 200k-long chain of unary minus
+  // and 10k nested IFs.
+  const std::string decls = "PARAMETER N\nREAL*8 A(N), X\n";
+  const std::string deep = std::string(200000, '(') + "1" +
+                           std::string(200000, ')');
+  for (const std::string& src :
+       {decls + "DO I = 1, N\n  A(I) = " + deep + "\nENDDO\n",
+        decls + "DO I = 1, N\n  A(" + deep + ") = 0\nENDDO\n",
+        decls + "DO I = 1, N\n  X = " + std::string(200000, '-') +
+            "1\nENDDO\n"}) {
+    const std::string what = compile_error(src);
+    EXPECT_NE(what.find("nesting deeper than"), std::string::npos) << what;
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+  }
+  std::string ifs = decls;
+  for (int i = 0; i < 10000; ++i) ifs += "IF (X .GT. 0) THEN\n";
+  EXPECT_NE(compile_error(ifs).find("nesting deeper than"), std::string::npos);
+  // Ordinary depth parses.
+  EXPECT_EQ(compile_error(decls + "X = " + std::string(100, '(') + "1" +
+                          std::string(100, ')') + "\n"),
+            "");
+}
+
+TEST(Parser, BoundsMayNameABlockFactor) {
+  // §6's compact-WY T matrix: a local array sized by the BLOCK DO factor,
+  // which the BLOCK DO after the declarations introduces.
+  auto cr = compile(
+      "PARAMETER N\n"
+      "REAL*8 A(N), T(BS_K,BS_K)\n"
+      "BLOCK DO K = 1, N\n"
+      "  IN K DO KK\n"
+      "    T(KK-K+1,KK-K+1) = A(KK)\n"
+      "  ENDDO\n"
+      "ENDDO\n");
+  const ArrayDecl& t = cr.program.array_decl("T");
+  EXPECT_EQ(to_string(t.dims[0].ub), "BS_K");
+  EXPECT_EQ(to_string(t.dims[1].ub), "BS_K");
+  EXPECT_TRUE(cr.program.has_param("BS_K"));
+  interp::ExecEngine e(cr.program, {{"N", 10}, {"BS_K", 4}});
+  e.store().arrays.at("A").flat()[8] = 2.5;  // A(9): block 9..10
+  e.run();
+  EXPECT_EQ(e.store().arrays.at("T").flat()[0], 2.5);  // T(1,1)
+}
+
+TEST(Parser, RejectsBoundsNamingNoParameter) {
+  // BS_J belongs to no BLOCK DO; Q is not a PARAMETER.
+  std::string what = compile_error(
+      "PARAMETER N\nREAL*8 A(N)\nREAL*8 T(BS_J,BS_J)\n"
+      "BLOCK DO K = 1, N\n  A(K) = 0.0\nENDDO\n");
+  EXPECT_NE(what.find("BS_J"), std::string::npos) << what;
+  EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+  what = compile_error("REAL*8 A(Q)\n");
+  EXPECT_NE(what.find("Q in an array bound"), std::string::npos) << what;
 }
 
 TEST(Parser, RejectsUndeclaredNames) {

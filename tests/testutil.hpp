@@ -11,6 +11,7 @@
 #include "interp/vm.hpp"
 #include "ir/printer.hpp"
 #include "ir/program.hpp"
+#include "lang/parser.hpp"
 
 namespace blk::test {
 
@@ -32,6 +33,13 @@ inline void seed_inputs(EngineT& in, std::uint64_t seed,
       t.at(idx) += boost;
     }
   }
+}
+
+/// The mini-Fortran program tools/examples/`file`, compiled.  A BLOCK DO's
+/// factor stays the symbolic parameter BS_<var> for the caller to bind.
+inline ir::Program example(const std::string& file) {
+  return lang::compile(lang::read_source(BLK_EXAMPLES_DIR "/" + file))
+      .program;
 }
 
 /// Run two programs on identical seeded inputs and return the max

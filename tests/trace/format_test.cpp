@@ -1,10 +1,9 @@
 // Trace-format tests: encode→decode bit-equality against raw TraceRecord
 // streams for every example kernel (zero-trip loops, descending loops and
-// IF-guarded accesses included), explicit affine runs, sync-point
-// sharding, and the disk round-trip.
+// IF-guarded accesses included), explicit affine runs and sync-point
+// sharding.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <random>
 #include <vector>
 
@@ -239,24 +238,6 @@ TEST(TraceFormat, ShardPlanCoversStreamExactly) {
     EXPECT_EQ(got, sh.records());
   }
   expect_equal(stitched, raw, "stitched shards");
-}
-
-TEST(TraceFormat, SaveLoadRoundTrips) {
-  Program lu = kernels::lu_point_ir();
-  const std::vector<TraceRecord> raw = vm_trace(lu, {{"N", 12}});
-  const EncodedTrace t = encode(raw, /*sync_interval=*/500);
-
-  const std::string path =
-      testing::TempDir() + "/blk_trace_roundtrip.trc";
-  t.save(path);
-  const EncodedTrace back = EncodedTrace::load(path);
-  EXPECT_EQ(back.records, t.records);
-  EXPECT_EQ(back.bytes, t.bytes);
-  EXPECT_EQ(back.syncs.size(), t.syncs.size());
-  expect_equal(decode_all(back), raw, "disk round-trip");
-  std::remove(path.c_str());
-
-  EXPECT_THROW((void)EncodedTrace::load(path + ".missing"), blk::Error);
 }
 
 TEST(TraceFormat, RejectsCorruptInput) {

@@ -1,7 +1,8 @@
 // The paper's headline results as tests:
 //  - §5.1: block LU without pivoting is derived fully automatically and
 //    matches Fig. 6 (golden print + numeric identity with the point form);
-//    the hand-coded block "1" (Sorensen), written as IR, matches too.
+//    the hand-coded block "1" (Sorensen), written as the BLOCK DO program
+//    tools/examples/lu_sorensen.f, matches too.
 //  - §5.2: with commutativity knowledge the pivoting variant distributes;
 //    without it, it does not.  The blocked factorization still pivots.
 #include <gtest/gtest.h>
@@ -148,8 +149,10 @@ double reconstruction_error(const std::vector<double>& f,
   return worst / static_cast<double>(n);
 }
 
-// The hand-coded block algorithm "1" (Sorensen's), written as IR: the one
-// T3 variant the compiler cannot derive.
+// The hand-coded block algorithm "1" (Sorensen's): the one T3 variant the
+// compiler cannot derive, so it is written once as a BLOCK DO program.
+Program sorensen() { return blk::test::example("lu_sorensen.f"); }
+
 class LuVariants : public ::testing::TestWithParam<std::tuple<long, long>> {
 };
 
@@ -157,11 +160,11 @@ TEST_P(LuVariants, AllVariantsMatchPoint) {
   // It performs the point algorithm's operations per element in the same
   // order, so the factors agree bitwise.
   auto [n, ks] = GetParam();
-  ir::Env env{{"N", n}, {"KS", ks}};
+  ir::Env env{{"N", n}, {"BS_K", ks}};
   EXPECT_EQ(0.0, blk::test::run_and_diff(blk::kernels::lu_point_ir(),
-                                         blk::kernels::lu_sorensen_ir(), env,
-                                         51, {{"A", static_cast<double>(n)}}))
-      << "N=" << n << " KS=" << ks;
+                                         sorensen(), env, 51,
+                                         {{"A", static_cast<double>(n)}}))
+      << "N=" << n << " BS_K=" << ks;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -175,9 +178,8 @@ TEST(Lu, ResidualAgainstOriginal) {
   blk::test::seed_inputs(seed, 52, {{"A", static_cast<double>(n)}});
   const std::span<const double> flat = seed.store().arrays.at("A").flat();
   const std::vector<double> a0(flat.begin(), flat.end());
-  for (const Program& p :
-       {blk::kernels::lu_point_ir(), blk::kernels::lu_sorensen_ir()}) {
-    std::vector<double> f = factor(p, {{"N", n}, {"KS", 16}}, a0);
+  for (const Program& p : {blk::kernels::lu_point_ir(), sorensen()}) {
+    std::vector<double> f = factor(p, {{"N", n}, {"BS_K", 16}}, a0);
     EXPECT_LE(reconstruction_error(f, a0, n), 1e-12 * static_cast<double>(n));
   }
 }
@@ -190,17 +192,15 @@ TEST(Lu, KnownTinyFactorization) {
 
 TEST(Lu, BlockLargerThanMatrix) {
   // One ragged block covers everything.
-  ir::Env env{{"N", 10}, {"KS", 64}};
+  ir::Env env{{"N", 10}, {"BS_K", 64}};
   EXPECT_EQ(0.0, blk::test::run_and_diff(blk::kernels::lu_point_ir(),
-                                         blk::kernels::lu_sorensen_ir(), env,
-                                         53, {{"A", 10.0}}));
+                                         sorensen(), env, 53, {{"A", 10.0}}));
 }
 
 TEST(Lu, DegenerateSizes) {
   // 1x1: nothing to eliminate, so A is its own factorization.
-  for (const Program& p :
-       {blk::kernels::lu_point_ir(), blk::kernels::lu_sorensen_ir()})
-    EXPECT_EQ(factor(p, {{"N", 1}, {"KS", 4}}, {3.5}),
+  for (const Program& p : {blk::kernels::lu_point_ir(), sorensen()})
+    EXPECT_EQ(factor(p, {{"N", 1}, {"BS_K", 4}}, {3.5}),
               std::vector<double>{3.5});
 }
 

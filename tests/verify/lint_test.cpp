@@ -4,6 +4,7 @@
 
 #include "ir/builder.hpp"
 #include "kernels/ir_kernels.hpp"
+#include "testutil.hpp"
 #include "verify/lint.hpp"
 
 namespace blk::verify {
@@ -30,12 +31,17 @@ TEST(Lint, KernelFactoriesLintClean) {
   const Factory factories[] = {
       blk::kernels::lu_point_ir, blk::kernels::lu_pivot_point_ir,
       blk::kernels::givens_qr_ir, blk::kernels::matmul_guarded_ir,
-      blk::kernels::conv_ir, blk::kernels::aconv_ir,
-      blk::kernels::lu_sorensen_ir};
+      blk::kernels::conv_ir, blk::kernels::aconv_ir};
   for (Factory f : factories) {
     Program p = f();
     Report r = lint(p);
     EXPECT_TRUE(r.ok()) << r.to_string();
+  }
+  for (const char* file :
+       {"lu_sorensen.f", "householder.f", "householder_wy.f"}) {
+    Program p = blk::test::example(file);
+    Report r = lint(p);
+    EXPECT_TRUE(r.ok()) << file << "\n" << r.to_string();
   }
 }
 

@@ -21,10 +21,8 @@
 //   2  analysis errors, unreadable input, or compile failures
 //   3  usage errors (unknown option, bad --assume, bad --format)
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,12 +42,6 @@ struct FileResult {
   std::string label;
   blk::verify::Report report;
 };
-
-std::string read_all(std::istream& in) {
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -232,15 +224,11 @@ int main(int argc, char** argv) {
   for (const std::string& file : files) {
     const std::string label = file == "-" ? "<stdin>" : file;
     std::string source;
-    if (file == "-") {
-      source = read_all(std::cin);
-    } else {
-      std::ifstream in(file);
-      if (!in) {
-        std::cerr << "blk-lint: cannot open " << file << "\n";
-        return 2;
-      }
-      source = read_all(in);
+    try {
+      source = blk::lang::read_source(file);
+    } catch (const blk::Error& e) {
+      std::cerr << "blk-lint: " << e.what() << "\n";
+      return 2;
     }
 
     blk::lang::CompileResult compiled;

@@ -98,12 +98,6 @@ namespace {
 
 using blk::pm::PassStat;
 
-std::string read_all(std::istream& in) {
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 /// Parse "N=24,BS=5" into an Env.  `flag` names the option in errors.
 blk::ir::Env parse_bindings(const std::string& text,
                             const char* flag = "--check") {
@@ -427,22 +421,10 @@ int main(int argc, char** argv) {
     spec += "; parallelize(check)";
   if (file.empty()) file = "-";
 
-  std::string source;
-  if (file == "-") {
-    source = read_all(std::cin);
-  } else {
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "blk-opt: cannot open " << file << "\n";
-      return 2;
-    }
-    source = read_all(in);
-  }
-
   blk::lang::CompileResult compiled;
   blk::pm::Pipeline pipeline;
   try {
-    compiled = blk::lang::compile(source);
+    compiled = blk::lang::compile(blk::lang::read_source(file));
     pipeline = blk::pm::parse_pipeline(spec);
   } catch (const std::exception& e) {
     std::cerr << "blk-opt: " << e.what() << "\n";
@@ -623,12 +605,13 @@ int main(int argc, char** argv) {
   }
 
   if (!golden_path.empty()) {
-    std::ifstream in(golden_path);
-    if (!in) {
-      std::cerr << "blk-opt: cannot open golden " << golden_path << "\n";
+    std::string golden;
+    try {
+      golden = blk::lang::read_source(golden_path);
+    } catch (const blk::Error& e) {
+      std::cerr << "blk-opt: golden: " << e.what() << "\n";
       return 2;
     }
-    std::string golden = read_all(in);
     if (golden != printed) {
       std::cerr << "blk-opt: output differs from golden " << golden_path
                 << "\n--- golden ---\n"
