@@ -5,17 +5,8 @@
 //   2. compression     — synthesized blocked-LU trace vs the raw
 //                        TraceRecord stream it replaces (N=512: gigabytes
 //                        down to megabytes).
-//   3. sweep modes     — the same candidate sweep with a cold store
-//                        (synthesize + replay) and with a warm store
-//                        (replay only) — the record-once/replay-many
-//                        claim, with the chosen KS pinned equal across
-//                        both.
-//   4. sharded replay  — bit-identical merged stats at 1..8 workers, with
+//   3. sharded replay  — bit-identical merged stats at 1..8 workers, with
 //                        per-worker-count timings.
-//   5. sampling        — sampled-vs-full sweep agreement at a size where
-//                        the full replay is feasible (N=256), then the
-//                        headline: sampled selection on N=2000 LU, whose
-//                        full trace is ~10^10 records, in seconds.
 //
 // --bench_json=PATH writes BENCH_trace.json (schema 3) with a "trace"
 // extra carrying the machine-checkable evidence; CI gates on it.
@@ -29,11 +20,9 @@
 #include "interp/trace.hpp"
 #include "ir/builder.hpp"
 #include "kernels/ir_kernels.hpp"
-#include "model/sweep.hpp"
 #include "pm/runner.hpp"
 #include "trace/format.hpp"
 #include "trace/replay.hpp"
-#include "trace/store.hpp"
 #include "trace/synth.hpp"
 
 namespace {
@@ -120,39 +109,7 @@ int main(int argc, char** argv) {
   const double compression = t512.compression_ratio();
 
   // -------------------------------------------------------------------
-  // 3. The same sweep cold and warm.  min-of-2 timings.
-  model::SweepOptions base;
-  base.candidates = {4, 8, 16, 32, 64};
-  base.probe_params = {{"N", 128}};
-  base.levels = kL1;
-  base.shard_records = 1u << 18;  // parallelize even probe-sized replays
-
-  model::SweepResult cold_res, warm_res;
-  double cold_s = 1e30, warm_s = 1e30;
-  for (int i = 0; i < 2; ++i) {
-    trace::TraceStore store;  // fresh: synthesize + replay each candidate
-    model::SweepOptions opt = base;
-    opt.store = &store;
-    const auto t0 = std::chrono::steady_clock::now();
-    cold_res = model::sweep_block_sizes(lu, opt);
-    cold_s = std::min(cold_s, now_minus(t0));
-  }
-  {
-    trace::TraceStore store;
-    model::SweepOptions opt = base;
-    opt.store = &store;
-    (void)model::sweep_block_sizes(lu, opt);  // prime
-    for (int i = 0; i < 2; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      warm_res = model::sweep_block_sizes(lu, opt);
-      warm_s = std::min(warm_s, now_minus(t0));
-    }
-  }
-  const long cold_ks = cold_res.rows[cold_res.best_index].ks;
-  const long warm_ks = warm_res.rows[warm_res.best_index].ks;
-
-  // -------------------------------------------------------------------
-  // 4. Sharded replay: merged stats must be bit-identical at any worker
+  // 3. Sharded replay: merged stats must be bit-identical at any worker
   // count (shard plan forced to ~43 shards via a small target).
   trace::EncodedTrace det;
   {
@@ -183,51 +140,7 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 5a. Sampling fidelity where the full replay is feasible: N=256,
-  // every 8th block row.  The sweep validates sampled-vs-full on the
-  // middle candidate itself; we additionally pin the winning KS.
-  model::SweepOptions agree = base;
-  agree.probe_params = {{"N", 256}};
-  agree.candidates = {8, 16, 32, 64};
-  agree.shard_records = 4u << 20;
-  trace::TraceStore agree_store;
-  agree.store = &agree_store;
-  const model::SweepResult full_res = model::sweep_block_sizes(lu, agree);
-  agree.sample_every = 8;
-  agree.sample_tolerance = 0.02;
-  const model::SweepResult samp_res = model::sweep_block_sizes(lu, agree);
-  const long full_ks = full_res.rows[full_res.best_index].ks;
-  const long samp_ks = samp_res.rows[samp_res.best_index].ks;
-
-  // 5b. The headline: sampled selection on N=2000 LU.  The full trace is
-  // ~1.1e10 records (171 GB raw) — the validation probe is skipped by the
-  // record cap and the tolerance above carries over.
-  model::SweepOptions big;
-  big.candidates = {16, 32, 64, 128};
-  big.probe_params = {{"N", 2000}};
-  big.levels = kL1;
-  big.sample_every = 64;
-  trace::TraceStore big_store;
-  big.store = &big_store;
-  model::SweepResult big_res;
-  double big_s;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    big_res = model::sweep_block_sizes(lu, big);
-    big_s = now_minus(t0);
-  }
-  std::uint64_t big_records = 0;
-  for (const auto& row : big_res.rows) big_records += row.trace_len;
-
-  // -------------------------------------------------------------------
   // Report.
-  blk::bench::Table modes({"sweep mode", "time", "speedup", "best KS"});
-  modes.row({"cold store", blk::bench::fmt_time(cold_s), "1.00",
-             std::to_string(cold_ks)});
-  modes.row({"warm store", blk::bench::fmt_time(warm_s),
-             blk::bench::fmt_speedup(cold_s, warm_s), std::to_string(warm_ks)});
-  modes.print("T-TRACE: blocked LU N=128, 5 candidates, L1 32K/64B/4");
-
   blk::bench::Table ev({"evidence", "value"});
   ev.row({"LU N=512 raw trace", fmt_d("%.2f GB", t512.raw_bytes() / 1e9)});
   ev.row({"LU N=512 compressed",
@@ -238,33 +151,15 @@ int main(int argc, char** argv) {
           bit_identical ? "bit-identical" : "MISMATCH"});
   ev.row({"replay speedup 8w vs 1w",
           blk::bench::fmt_speedup(replay_secs[1], replay_secs[8])});
-  ev.row({"sampled-vs-full KS (N=256)", std::to_string(samp_ks) + " vs " +
-                                            std::to_string(full_ks)});
-  ev.row({"sampled probe miss-ratio delta",
-          fmt_d("%.6f", samp_res.sample_delta)});
-  ev.row({"N=2000 sampled selection", blk::bench::fmt_time(big_s) + ", KS=" +
-                                          std::to_string(
-                                              big_res.rows[big_res.best_index]
-                                                  .ks)});
-  ev.row({"N=2000 records replayed (of ~1.1e10)",
-          fmt_d("%.3g", static_cast<double>(big_records))});
   ev.print("T-TRACE: pipeline evidence");
-
-  if (cold_ks != warm_ks)
-    std::fprintf(stderr,
-                 "WARNING: sweep modes disagree on KS (cold=%ld warm=%ld)\n",
-                 cold_ks, warm_ks);
 
   if (json.enabled()) {
     json.set_parallel(true);
     json.row("sink_fnptr_1M", rep.get("BM_SinkFnPointer"));
     json.row("synthesize_lu512", synth_s);
-    json.row("sweep_trace_cold_n128", cold_s);
-    json.row("sweep_trace_warm_n128", warm_s, cold_s / warm_s);
     for (unsigned w : {1u, 2u, 4u, 8u})
       json.row("replay_lu128_workers" + std::to_string(w), replay_secs[w],
                replay_secs[1] / replay_secs[w]);
-    json.row("sampled_select_lu2000", big_s);
     std::string tr = "{";
     tr += "\"compression_ratio\": " + fmt_d("%.3f", compression);
     tr += ", \"lu512_records\": " + std::to_string(t512.records);
@@ -272,18 +167,6 @@ int main(int argc, char** argv) {
     tr += ", \"shard_bit_identical\": ";
     tr += bit_identical ? "true" : "false";
     tr += ", \"workers_checked\": 8";
-    tr += ", \"ks\": {\"cold\": " + std::to_string(cold_ks) +
-          ", \"warm\": " + std::to_string(warm_ks) + "}";
-    tr += ", \"sample\": {\"full_ks\": " + std::to_string(full_ks) +
-          ", \"sampled_ks\": " + std::to_string(samp_ks) +
-          ", \"every\": " + std::to_string(samp_res.sample_every) +
-          ", \"validated\": " +
-          (samp_res.sample_validated ? "true" : "false") +
-          ", \"delta\": " + fmt_d("%.6f", samp_res.sample_delta) + "}";
-    tr += ", \"n2000\": {\"seconds\": " + fmt_d("%.3f", big_s) +
-          ", \"ks\": " + std::to_string(big_res.rows[big_res.best_index].ks) +
-          ", \"sample_every\": " + std::to_string(big_res.sample_every) +
-          ", \"records_replayed\": " + std::to_string(big_records) + "}";
     tr += "}";
     json.extra("trace", tr);
     json.write();

@@ -89,9 +89,10 @@ void Cache::reset() {
 
 namespace {
 
-/// Records streamed from the VM to the cache, a batch at a time; keeps
-/// arbitrarily long traces (N=300 LU is ~10^8 accesses) in constant memory.
-constexpr std::size_t kTraceBatch = 1 << 20;
+/// Records streamed from the VM to the cache, a batch at a time (1 MB);
+/// keeps arbitrarily long traces (N=300 LU is ~10^8 accesses) in constant
+/// memory.
+constexpr std::size_t kTraceBatch = 1 << 16;
 
 }  // namespace
 
@@ -138,11 +139,25 @@ double amat(std::span<const CacheStats> levels,
   return cycles / total;
 }
 
+std::vector<CacheStats> Hierarchy::level_stats() const {
+  std::vector<CacheStats> out;
+  out.reserve(levels_.size());
+  for (const Cache& l : levels_) out.push_back(l.stats());
+  return out;
+}
+
 double Hierarchy::amat(std::span<const double> latencies) const {
-  std::vector<CacheStats> per_level;
-  per_level.reserve(levels_.size());
-  for (const Cache& l : levels_) per_level.push_back(l.stats());
-  return cachesim::amat(per_level, latencies);
+  return cachesim::amat(level_stats(), latencies);
+}
+
+void simulate_run(interp::ExecEngine& eng, Hierarchy& h) {
+  interp::TraceBuffer buf(
+      kTraceBatch, &h,
+      [](void* ctx, std::span<const interp::TraceRecord> recs) {
+        static_cast<Hierarchy*>(ctx)->simulate(recs);
+      });
+  eng.run(buf);
+  buf.flush();
 }
 
 std::vector<CacheStats> simulate_hierarchy(const ir::Program& p,
@@ -152,17 +167,8 @@ std::vector<CacheStats> simulate_hierarchy(const ir::Program& p,
   interp::ExecEngine eng(p, params);
   interp::seed_store(eng.store(), seed);
   Hierarchy h(std::move(levels));
-  interp::TraceBuffer buf(
-      kTraceBatch, &h,
-      [](void* ctx, std::span<const interp::TraceRecord> recs) {
-        static_cast<Hierarchy*>(ctx)->simulate(recs);
-      });
-  eng.run(buf);
-  buf.flush();
-  std::vector<CacheStats> out;
-  for (std::size_t i = 0; i < h.num_levels(); ++i)
-    out.push_back(h.stats(i));
-  return out;
+  simulate_run(eng, h);
+  return h.level_stats();
 }
 
 CacheStats simulate(const ir::Program& p, const ir::Env& params,

@@ -14,6 +14,10 @@
 #include "interp/interp.hpp"
 #include "interp/trace.hpp"
 
+namespace blk::interp {
+class ExecEngine;
+}  // namespace blk::interp
+
 namespace blk::cachesim {
 
 /// Geometry of a simulated cache.  All fields must be powers of two and
@@ -150,6 +154,7 @@ class Hierarchy {
   [[nodiscard]] const CacheStats& stats(std::size_t level) const {
     return levels_[level].stats();
   }
+  [[nodiscard]] std::vector<CacheStats> level_stats() const;  ///< L1 first
   void reset();
 
   /// Average memory-access time under the given per-level hit latencies
@@ -161,6 +166,11 @@ class Hierarchy {
   std::vector<Cache> levels_;
   std::uint64_t back_invalidations_ = 0;
 };
+
+/// Run `eng` once on its store as the caller left it, streaming every
+/// array access through `h` a batch at a time (constant memory at any
+/// trace length).
+void simulate_run(interp::ExecEngine& eng, Hierarchy& h);
 
 /// Like simulate() but through a hierarchy; returns per-level stats.
 [[nodiscard]] std::vector<CacheStats> simulate_hierarchy(

@@ -57,6 +57,9 @@ void givens_qr_opt(Matrix& a) {
       }
     }
     if (open) jub[jc++] = m - 1;
+    // No rotation ran: the second loop would only reload and store A(L,K),
+    // and for L >= M (more columns than rows) that row does not exist.
+    if (jc == 0) continue;
 
     // Second loop: K outermost, J innermost over the recorded ranges —
     // stride-one down column K, with A(L,K) scalar-replaced across J.

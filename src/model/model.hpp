@@ -133,13 +133,10 @@ struct BlockChoice {
   long best_swept_ks = 0;             ///< argmin over every swept row
   double best_swept_metric = 0;
 
-  // Trace-pipeline evidence (record-once/replay-many sweeps).
-  bool traces_synthesized = false; ///< traces from the affine synthesizer
-  long sample_every = 1;           ///< effective sampling stride
-  bool sample_validated = false;   ///< a sampled-vs-full probe ran
-  double sample_delta = 0;         ///< probe |sampled - full| L1 miss ratio
-  std::uint64_t store_hits = 0;    ///< candidates replayed from the store
-  std::uint64_t store_misses = 0;  ///< candidates traced this run
+  // Kept only for perfbench's harness, which reports and checks them:
+  // the sweep keeps no traces, so nothing is ever served from a store.
+  std::uint64_t store_hits = 0;    ///< always 0
+  std::uint64_t store_misses = 0;  ///< candidates simulated
 
   struct Row {
     long ks = 0;

@@ -194,8 +194,9 @@ model::BlockChoice& step_selectblock(PipelineContext& ctx,
       if (!blocked.blocked)
         throw Error("selectblock: the probe clone did not block");
 
-      // The factor becomes a runtime scalar of the clone: the sweep's one
-      // ExecEngine reads it per run instead of recompiling per candidate.
+      // The factor becomes a runtime scalar of the clone: each sweep
+      // worker's ExecEngine reads it per run instead of recompiling per
+      // candidate.
       clone.scalar(ks_name);
 
       model::SweepOptions sopt;
@@ -210,19 +211,11 @@ model::BlockChoice& step_selectblock(PipelineContext& ctx,
       sopt.levels = machine.levels;
       sopt.latencies = machine.latencies;
       sopt.workers = opt.workers;
-      sopt.sample_every = opt.sample_every;
       model::SweepResult sw = model::sweep_block_sizes(clone, sopt);
 
       choice.swept = true;
       choice.metric_name = sw.metric_name;
-      choice.traces_synthesized =
-          !sw.rows.empty() && sw.rows.front().synthesized;
-      choice.sample_every = sw.sample_every;
-      choice.sample_validated = sw.sample_validated;
-      choice.sample_delta = sw.sample_delta;
-      choice.store_hits = sw.store_hits;
-      choice.store_misses = sw.store_misses;
-      if (!sw.note.empty()) choice.note = sw.note;
+      choice.store_misses = sw.rows.size();
       std::size_t chosen_row = sw.rows.size();
       for (std::size_t i = 0; i < sw.rows.size(); ++i) {
         const model::CandidateResult& r = sw.rows[i];

@@ -44,17 +44,16 @@ struct SelectBlockOptions {
   bool sweep = true;       ///< refine the analytic pick empirically
   bool grid = false;       ///< also sweep a coverage grid for evidence
   unsigned workers = 0;    ///< simulator threads (0: auto)
-  long sample_every = 1;   ///< trace sampling stride (1 = full traces)
 };
 
 /// Build the analytic model of ctx.target(), optionally refine it by
 /// sweeping a *blocked clone* of the program (the clone is blocked under
 /// an ObserverMute with a private AnalysisManager, so the caller's
-/// verification observers and caches never see it; one ExecEngine serves
-/// every candidate).  Leaves the decision in ctx.block_choice, binds
-/// ctx.resolved["KS"], defaults ctx.default_block to KS, and adds the
-/// full-block hint  focus + KS - 1 <= focus.ub  so a following split
-/// finds the §5.1 structure without caller --assume.
+/// verification observers and caches never see it; each sweep worker's
+/// ExecEngine serves every candidate it takes).  Leaves the decision in
+/// ctx.block_choice, binds ctx.resolved["KS"], defaults ctx.default_block
+/// to KS, and adds the full-block hint  focus + KS - 1 <= focus.ub  so a
+/// following split finds the §5.1 structure without caller --assume.
 model::BlockChoice& step_selectblock(PipelineContext& ctx,
                                      const SelectBlockOptions& opt);
 

@@ -305,18 +305,13 @@ Registry::Registry() {
                     .doc = "also sweep a coverage grid (tolerance "
                            "evidence for --auto-b)"},
                    {.name = "workers", .kind = OptKind::Int,
-                    .doc = "simulator threads (default: auto)"},
-                   {.name = "sample", .kind = OptKind::Int,
-                    .doc = "replay every k-th block instance (validated "
-                           "against a full replay within 0.02 L1 miss "
-                           "ratio; default 1 = full)"}},
+                    .doc = "simulator threads (default: auto)"}},
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
          detail::SelectBlockOptions opt;
          opt.probe = inv.int_or("probe", 0);
          opt.sweep = !inv.flag("nosweep");
          opt.grid = inv.flag("grid");
          opt.workers = static_cast<unsigned>(inv.int_or("workers", 0));
-         opt.sample_every = inv.int_or("sample", 1);
          const model::BlockChoice& c = detail::step_selectblock(ctx, opt);
          ctx.stage_note =
              c.ks_name + "=" + std::to_string(c.ks) + " (analytic " +

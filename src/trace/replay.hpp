@@ -9,12 +9,12 @@
 // 1 or 8 threads did the work (replay_test pins this).
 //
 // Shard boundaries are cache-state resets: each shard's replica starts
-// cold, so a K-shard replay counts slightly more compulsory misses than
-// one sequential pass (the classic trade of time-parallel simulation).
-// The boundary effect is bounded by shards * lines-per-hierarchy records;
-// with the default ~4M-record shards it is noise (<0.1% of accesses), and
-// a trace that fits in a single shard — every probe-sized sweep the
-// selectblock pass runs — is replayed exactly, shard plan or not.
+// cold, so a K-shard replay counts more compulsory misses than one
+// sequential pass (the classic trade of time-parallel simulation), up to
+// shards * lines-per-hierarchy extra.  That is not noise: on blocked LU
+// at N=192 (~9.4M accesses, over two default shards) a 256 KB cache's miss
+// ratio comes out 11-122% high.  A trace that fits in a single shard is
+// replayed exactly, shard plan or not.
 #pragma once
 
 #include <cstdint>

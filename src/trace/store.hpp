@@ -1,14 +1,12 @@
 // Record-once / replay-many: a cache of encoded traces.
 //
 // A trace is a pure function of (program text, blocking factor, parameter
-// bindings, sampling stride) — it does not depend on the cache geometry.
-// So traces are keyed and kept: a sweep records (or synthesizes) each
-// candidate's trace once, and a sampled sweep's validation probe reuses
-// the full trace it already holds.  A caller that passes one store to
-// several sweeps re-tunes against any hierarchy straight from the store,
-// skipping VM execution entirely.  Compressed traces are megabytes where
-// raw ones are gigabytes, which is what makes retention viable; a
-// byte-capped LRU bounds the footprint regardless.
+// bindings) — it does not depend on the cache geometry.  So traces are
+// keyed and kept: a caller that records (or synthesizes) a trace once can
+// replay it against any hierarchy straight from the store, skipping VM
+// execution entirely.  Compressed traces are megabytes where raw ones are
+// gigabytes, which is what makes retention viable; a byte-capped LRU
+// bounds the footprint regardless.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +26,6 @@ struct TraceKey {
   std::uint64_t program_hash = 0;  ///< FNV-1a of the printed program
   std::uint64_t env_hash = 0;      ///< FNV-1a over sorted (name, value)
   long ks = 0;                     ///< blocking-factor binding (0 if none)
-  long sample_every = 1;
 
   [[nodiscard]] auto operator<=>(const TraceKey&) const = default;
 };

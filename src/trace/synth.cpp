@@ -161,35 +161,25 @@ void collect_rhs_refs(const VExpr& e, const interp::Store& store,
   }
 }
 
-/// Loop depth whose iterations are sample units (0 = outermost).
-constexpr int kSampleDepth = 1;
-
 class Synthesizer {
  public:
-  Synthesizer(const Program& p, const ir::Env& params, TraceEncoder& enc,
-              const SynthOptions& opt)
+  Synthesizer(const Program& p, const ir::Env& params, TraceEncoder& enc)
       : program_(p),
         enc_(enc),
-        opt_(opt),
         store_(interp::make_store(p, params)),
-        env_(params) {
-    if (opt_.sample_every < 1)
-      throw Error("synthesize: sample_every must be >= 1");
-  }
+        env_(params) {}
 
   SynthStats run() {
-    exec_list(program_.body, /*depth=*/0);
+    exec_list(program_.body);
     return stats_;
   }
 
  private:
   const Program& program_;
   TraceEncoder& enc_;
-  SynthOptions opt_;
   interp::Store store_;
   ir::Env env_;  ///< params + live loop variables
   SynthStats stats_;
-  std::uint64_t unit_counter_ = 0;
   std::map<const Assign*, std::vector<Ref>> ref_cache_;
   std::map<const Loop*, int> fast_cache_;  ///< -1 unknown handled via find
 
@@ -250,11 +240,11 @@ class Synthesizer {
     return lb < ub ? 0 : static_cast<std::uint64_t>((lb - ub) / (-step) + 1);
   }
 
-  void exec_list(const StmtList& body, int depth) {
-    for (const StmtPtr& s : body) exec(*s, depth);
+  void exec_list(const StmtList& body) {
+    for (const StmtPtr& s : body) exec(*s);
   }
 
-  void exec(const Stmt& s, int depth) {
+  void exec(const Stmt& s) {
     if (s.kind() == SKind::Assign) {
       emit_assign(s.as_assign());
       return;
@@ -276,20 +266,12 @@ class Synthesizer {
       had = true;
     }
 
-    const bool sampling = opt_.sample_every > 1 && depth == kSampleDepth;
     if (fast_eligible(l)) {
-      fast_loop(l, lb, step, trips, sampling);
+      fast_loop(l, lb, step, trips);
     } else {
       for (std::uint64_t t = 0; t < trips; ++t) {
-        if (sampling) {
-          const std::uint64_t u = unit_counter_++;
-          ++stats_.units;
-          if (u % static_cast<std::uint64_t>(opt_.sample_every) != 0)
-            continue;
-          ++stats_.kept_units;
-        }
         env_[l.var] = lb + static_cast<long>(t) * step;
-        exec_list(l.body, depth + 1);
+        exec_list(l.body);
       }
     }
 
@@ -299,62 +281,45 @@ class Synthesizer {
       env_.erase(l.var);
   }
 
-  void fast_loop(const Loop& l, long lb, long step, std::uint64_t trips,
-                 bool sampling) {
-    std::uint64_t t0 = 0;
-    std::uint64_t stride_factor = 1;
-    std::uint64_t kept = trips;
-    if (sampling) {
-      const auto k = static_cast<std::uint64_t>(opt_.sample_every);
-      const std::uint64_t phase = unit_counter_ % k;
-      t0 = phase == 0 ? 0 : k - phase;
-      kept = trips > t0 ? (trips - t0 + k - 1) / k : 0;
-      stride_factor = k;
-      unit_counter_ += trips;
-      stats_.units += trips;
-      stats_.kept_units += kept;
-    }
-    if (kept == 0) return;
-
+  void fast_loop(const Loop& l, long lb, long step, std::uint64_t trips) {
     // Two evaluations per reference pin its affine address progression.
     slot_scratch_.clear();
-    env_[l.var] = lb + static_cast<long>(t0) * step;
+    env_[l.var] = lb;
     for (const StmtPtr& s : l.body)
       for (const Ref& r : refs_of(s->as_assign()))
         slot_scratch_.push_back(
             TraceEncoder::RefPattern{ref_addr(r), 0, r.is_write});
-    if (kept > 1) {
-      env_[l.var] = lb + static_cast<long>(t0 + 1) * step;
+    if (trips > 1) {
+      env_[l.var] = lb + step;
       std::size_t j = 0;
       for (const StmtPtr& s : l.body)
         for (const Ref& r : refs_of(s->as_assign())) {
           TraceEncoder::RefPattern& slot = slot_scratch_[j++];
-          slot.stride = static_cast<std::int64_t>(
-                            ref_addr(r) - slot.start_addr) *
-                        static_cast<std::int64_t>(stride_factor);
+          slot.stride = static_cast<std::int64_t>(ref_addr(r) -
+                                                  slot.start_addr);
         }
     }
-    stats_.records += slot_scratch_.size() * kept;
-    enc_.append_run_affine(slot_scratch_, kept);
+    stats_.records += slot_scratch_.size() * trips;
+    enc_.append_run_affine(slot_scratch_, trips);
   }
 };
 
 }  // namespace
 
 SynthStats synthesize(const Program& p, const ir::Env& params,
-                      TraceEncoder& enc, const SynthOptions& opt) {
+                      TraceEncoder& enc) {
   if (auto reason = synth_ineligible_reason(p))
     throw Error("synthesize: program is not synthesizable: " + *reason);
-  return Synthesizer(p, params, enc, opt).run();
+  return Synthesizer(p, params, enc).run();
 }
 
 EncodedTrace synthesize_or_record(const Program& p, const ir::Env& params,
-                                  std::uint64_t seed, const SynthOptions& opt,
-                                  bool* used_synth, SynthStats* stats) {
+                                  std::uint64_t seed, bool* used_synth,
+                                  SynthStats* stats) {
   if (synth_eligible(p)) {
     EncodedTrace t;
     TraceEncoder enc(t);
-    SynthStats st = Synthesizer(p, params, enc, opt).run();
+    SynthStats st = Synthesizer(p, params, enc).run();
     enc.finish();
     if (used_synth) *used_synth = true;
     if (stats) *stats = st;

@@ -17,15 +17,6 @@
 // parameters.  Data-dependent programs (pivoting LU, IF-guarded matmul)
 // report a reason and fall back to VM recording (format.hpp's
 // record_trace) — same format, slower producer.
-//
-// Sampling: with sample_every = k > 1, only every k-th *sample unit* is
-// emitted.  A unit is one iteration of any loop at nesting depth 1 (one
-// inside the outermost); statements shallower than that are always
-// emitted.  The unit counter is global across the program, so the kept
-// subset — and therefore the sampled trace — is a deterministic function
-// of (program, params, k) alone.  Because kept iterations
-// of an affine inner loop are themselves an arithmetic progression, a
-// sampled instance is still one RUNA op with the stride scaled by k.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +28,8 @@
 
 namespace blk::trace {
 
-struct SynthOptions {
-  long sample_every = 1;  ///< keep every k-th sample unit (1 = everything)
-};
-
 struct SynthStats {
-  std::uint64_t records = 0;     ///< records emitted into the encoder
-  std::uint64_t units = 0;       ///< sample units encountered
-  std::uint64_t kept_units = 0;  ///< units actually emitted
+  std::uint64_t records = 0;  ///< records emitted into the encoder
 };
 
 /// Why `p` cannot be synthesized (nullopt = eligible).
@@ -60,16 +45,14 @@ struct SynthStats {
 /// synth_eligible() first.  Array addresses come from interp::make_store,
 /// so they match both execution engines exactly.
 SynthStats synthesize(const ir::Program& p, const ir::Env& params,
-                      TraceEncoder& enc, const SynthOptions& opt = {});
+                      TraceEncoder& enc);
 
 /// synthesize() + finish() into a fresh trace, falling back to VM
 /// recording (record_trace) when the program is ineligible.  `used_synth`
-/// (optional out) reports which path ran.  Sampling options apply only to
-/// the synthesis path; an ineligible program is recorded in full.
+/// (optional out) reports which path ran.
 [[nodiscard]] EncodedTrace synthesize_or_record(const ir::Program& p,
                                                 const ir::Env& params,
                                                 std::uint64_t seed,
-                                                const SynthOptions& opt = {},
                                                 bool* used_synth = nullptr,
                                                 SynthStats* stats = nullptr);
 

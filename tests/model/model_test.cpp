@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "interp/vm.hpp"
 #include "ir/builder.hpp"
@@ -155,7 +156,7 @@ TEST(Sweep, DeterministicAcrossWorkerCounts) {
     EXPECT_EQ(serial.rows[i].ks, opt.candidates[i]);
     EXPECT_EQ(parallel.rows[i].ks, serial.rows[i].ks);
     EXPECT_DOUBLE_EQ(parallel.rows[i].metric, serial.rows[i].metric);
-    EXPECT_EQ(parallel.rows[i].trace_len, serial.rows[i].trace_len);
+    EXPECT_EQ(parallel.rows[i].levels, serial.rows[i].levels);
   }
   EXPECT_EQ(parallel.best_index, serial.best_index);
   EXPECT_EQ(serial.metric_name, "miss_ratio");
@@ -171,42 +172,41 @@ TEST(Sweep, SameTraceLengthDifferentLocality) {
   opt.levels = {parse_cache_config("4K/64B/2")};
   SweepResult r = sweep_block_sizes(prog, opt);
   ASSERT_EQ(r.rows.size(), 3u);
-  EXPECT_EQ(r.rows[0].trace_len, r.rows[1].trace_len);
-  EXPECT_EQ(r.rows[1].trace_len, r.rows[2].trace_len);
+  EXPECT_EQ(r.rows[0].levels[0].accesses, r.rows[1].levels[0].accesses);
+  EXPECT_EQ(r.rows[1].levels[0].accesses, r.rows[2].levels[0].accesses);
   EXPECT_NE(r.rows[0].levels[0].misses, r.rows[1].levels[0].misses);
 }
 
-/// The oracle: run each candidate on its own VM into a retained buffer and
-/// simulate the records directly.  Probe-sized traces replay as a single
-/// shard, so every sweep row must match field for field — whether its
-/// trace was synthesized from the IR or recorded through the VM.
-SweepResult expect_sweep_matches_direct_simulation(const Program& prog,
-                                                   const SweepOptions& opt,
-                                                   bool synthesized) {
+/// The oracle: run each candidate on its own VM and stream the records
+/// through its own hierarchy, a batch at a time (traces of millions of
+/// accesses stay out of memory).  Every sweep row must match field for
+/// field, whatever the trace length.
+void expect_sweep_matches_direct_simulation(const Program& prog,
+                                            const SweepOptions& opt) {
   SweepResult r = sweep_block_sizes(prog, opt);
   EXPECT_EQ(r.rows.size(), opt.candidates.size());
   for (std::size_t i = 0; i < r.rows.size(); ++i) {
     const CandidateResult& row = r.rows[i];
     SCOPED_TRACE("ks=" + std::to_string(opt.candidates[i]));
     interp::ExecEngine eng(prog, opt.probe_params, interp::Engine::Vm);
-    interp::seed_store(eng.store(), 42);  // the sweep's recording seed
+    interp::seed_store(eng.store(), 42);  // the sweep's input seed
     for (auto& [name, value] : eng.store().scalars) value = 0.0;
     eng.store().scalars[opt.ks_scalar] =
         static_cast<double>(opt.candidates[i]);
-    interp::TraceBuffer tb;
-    eng.run(tb);
     cachesim::Hierarchy h(opt.levels);
-    h.simulate(tb.records());
+    interp::TraceBuffer tb(
+        1 << 14, &h, [](void* ctx, std::span<const interp::TraceRecord> recs) {
+          static_cast<cachesim::Hierarchy*>(ctx)->simulate(recs);
+        });
+    eng.run(tb);
+    tb.flush();
 
     EXPECT_EQ(row.ks, opt.candidates[i]);
-    EXPECT_EQ(row.synthesized, synthesized);
-    EXPECT_EQ(row.trace_len, tb.size());
     EXPECT_EQ(row.levels.size(), h.num_levels());
     for (std::size_t l = 0; l < row.levels.size() && l < h.num_levels(); ++l)
       EXPECT_EQ(row.levels[l], h.stats(l)) << "level " << l;
     EXPECT_EQ(row.metric, h.stats(0).miss_ratio());
   }
-  return r;
 }
 
 TEST(Sweep, MatchesDirectSimulationExactly) {
@@ -215,138 +215,24 @@ TEST(Sweep, MatchesDirectSimulationExactly) {
   opt.levels = {parse_cache_config("4K/64B/2"),
                 parse_cache_config("16K/64B/4")};
   {
-    SCOPED_TRACE("synthesized: blocked LU");
-    trace::TraceStore store;  // private store: no cross-test interference
-    opt.store = &store;
+    SCOPED_TRACE("affine: blocked LU");
     opt.probe_params = {{"N", 48}};
-    const SweepResult r =
-        expect_sweep_matches_direct_simulation(blocked_lu(), opt, true);
-    for (const CandidateResult& row : r.rows)
-      EXPECT_GT(row.compression, 10.0)
-          << "blocked LU should compress well past 10x";
+    expect_sweep_matches_direct_simulation(blocked_lu(), opt);
   }
   {
-    SCOPED_TRACE("recorded: IF-guarded matmul");
+    SCOPED_TRACE("data-dependent: IF-guarded matmul");
     Program prog = kernels::matmul_guarded_ir();
     prog.scalar("KS");  // unused by the kernel; satisfies the contract
-    trace::TraceStore store;
-    opt.store = &store;
     opt.probe_params = {{"N", 24}};
-    expect_sweep_matches_direct_simulation(prog, opt, false);
+    expect_sweep_matches_direct_simulation(prog, opt);
   }
-}
-
-TEST(Sweep, RecordOnceReplayManyThroughTheStore) {
-  Program prog = blocked_lu();
-  SweepOptions opt;
-  opt.candidates = {4, 8, 16};
-  opt.probe_params = {{"N", 48}};
-  opt.levels = {parse_cache_config("4K/64B/2")};
-  trace::TraceStore store;
-  opt.store = &store;
-
-  SweepResult first = sweep_block_sizes(prog, opt);
-  EXPECT_EQ(first.store_misses, 3u);
-  EXPECT_EQ(first.store_hits, 0u);
-
-  // Re-tuning against a different geometry replays straight from the
-  // store — zero new traces — and still ranks independently.
-  opt.levels = {parse_cache_config("16K/64B/4")};
-  SweepResult second = sweep_block_sizes(prog, opt);
-  EXPECT_EQ(second.store_misses, 0u);
-  EXPECT_EQ(second.store_hits, 3u);
-  for (std::size_t i = 0; i < second.rows.size(); ++i)
-    EXPECT_EQ(second.rows[i].trace_len, first.rows[i].trace_len);
-}
-
-// Without a caller store each sweep keeps its traces to itself: a second
-// identical sweep traces every candidate again and measures the same rows.
-TEST(Sweep, NoCallerStoreKeepsNothingAcrossSweeps) {
-  Program prog = blocked_lu();
-  SweepOptions opt;
-  opt.candidates = {4, 8, 16};
-  opt.probe_params = {{"N", 48}};
-  opt.levels = {parse_cache_config("4K/64B/2")};
-  ASSERT_EQ(opt.store, nullptr);
-
-  const SweepResult first = sweep_block_sizes(prog, opt);
-  const SweepResult second = sweep_block_sizes(prog, opt);
-  for (const SweepResult* r : {&first, &second}) {
-    EXPECT_EQ(r->store_hits, 0u);
-    EXPECT_EQ(r->store_misses, 3u);
-  }
-  ASSERT_EQ(second.rows.size(), first.rows.size());
-  for (std::size_t i = 0; i < first.rows.size(); ++i) {
-    SCOPED_TRACE("ks=" + std::to_string(first.rows[i].ks));
-    EXPECT_EQ(second.rows[i].ks, first.rows[i].ks);
-    EXPECT_EQ(second.rows[i].levels, first.rows[i].levels);
-    EXPECT_EQ(second.rows[i].metric, first.rows[i].metric);
-    EXPECT_EQ(second.rows[i].trace_len, first.rows[i].trace_len);
-    EXPECT_EQ(second.rows[i].compression, first.rows[i].compression);
-  }
-  EXPECT_EQ(second.best_index, first.best_index);
-}
-
-TEST(Sweep, SamplingValidatesAndKeepsTheChoice) {
-  Program prog = blocked_lu();
-  SweepOptions opt;
-  opt.candidates = {2, 4, 8, 16, 32};
-  opt.probe_params = {{"N", 64}};
-  opt.levels = {parse_cache_config("4K/64B/2")};
-  trace::TraceStore store;
-  opt.store = &store;
-
-  SweepResult full = sweep_block_sizes(prog, opt);
-
-  opt.sample_every = 4;
-  opt.sample_tolerance = 0.05;
-  trace::TraceStore store2;
-  opt.store = &store2;
-  SweepResult sampled = sweep_block_sizes(prog, opt);
-
-  EXPECT_TRUE(sampled.sample_validated);
-  ASSERT_EQ(sampled.sample_every, 4) << sampled.note;
-  EXPECT_LE(sampled.sample_delta, opt.sample_tolerance);
-  // Sampled traces are materially smaller and agree on the winner.
-  for (std::size_t i = 0; i < sampled.rows.size(); ++i)
-    EXPECT_LT(sampled.rows[i].trace_len, full.rows[i].trace_len / 2);
-  EXPECT_EQ(sampled.rows[sampled.best_index].ks,
-            full.rows[full.best_index].ks);
-
-  // An impossible tolerance forces the fallback to full traces.
-  opt.sample_tolerance = 0.0;
-  trace::TraceStore store3;
-  opt.store = &store3;
-  SweepResult strict = sweep_block_sizes(prog, opt);
-  if (strict.sample_delta > 0.0) {
-    EXPECT_EQ(strict.sample_every, 1);
-    EXPECT_NE(strict.note.find("sampling rejected"), std::string::npos);
-    for (std::size_t i = 0; i < strict.rows.size(); ++i)
-      EXPECT_EQ(strict.rows[i].trace_len, full.rows[i].trace_len);
-  }
-}
-
-TEST(Sweep, FallsBackToRecordingForDataDependentPrograms) {
-  // A program the synthesizer refuses (IF-guarded accesses) still sweeps:
-  // traces are recorded through the VM into the compressed format, and
-  // requested sampling is dropped with an explanatory note.
-  Program prog = kernels::matmul_guarded_ir();
-  prog.scalar("KS");  // unused by the kernel; satisfies the contract
-  SweepOptions opt;
-  opt.candidates = {4, 8};
-  opt.probe_params = {{"N", 24}};
-  opt.levels = {parse_cache_config("4K/64B/2")};
-  opt.sample_every = 4;
-  trace::TraceStore store;
-  opt.store = &store;
-
-  SweepResult r = sweep_block_sizes(prog, opt);
-  EXPECT_EQ(r.sample_every, 1);
-  EXPECT_NE(r.note.find("sampling disabled"), std::string::npos);
-  for (const CandidateResult& row : r.rows) {
-    EXPECT_FALSE(row.synthesized);
-    EXPECT_GT(row.trace_len, 0u);
-    EXPECT_GT(row.compression, 1.0);
+  {
+    // ~5.4M accesses per candidate: a trace that long must still be
+    // simulated as one pass, with no cache-state reset partway through.
+    SCOPED_TRACE("long trace: blocked LU N=160");
+    opt.levels = {parse_cache_config("256K/64B/8")};
+    opt.probe_params = {{"N", 160}};
+    expect_sweep_matches_direct_simulation(blocked_lu(), opt);
   }
 }
 
@@ -386,6 +272,9 @@ TEST(SelectBlock, EndToEndThroughThePassManager) {
   // selectblock resolves the symbolic factor for later VM checks.
   ASSERT_TRUE(ctx.resolved.contains("KS"));
   EXPECT_EQ(ctx.resolved.at("KS"), bc.ks);
+  // Every swept row was simulated; nothing comes from a trace store.
+  EXPECT_EQ(bc.store_hits, 0u);
+  EXPECT_EQ(bc.store_misses, bc.table.size());
   // The chosen ks is the metric argmin over the model's candidates.
   for (const BlockChoice::Row& row : bc.table)
     if (row.from_model) EXPECT_LE(bc.chosen_metric, row.metric + 1e-12);

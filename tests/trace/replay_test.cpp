@@ -177,9 +177,6 @@ TEST(TraceStore, HitsMissesAndKeying) {
   TraceKey k2 = k1;
   k2.ks = 8;
   EXPECT_EQ(store.get(k2), nullptr);
-  TraceKey k3 = k1;
-  k3.sample_every = 4;
-  EXPECT_EQ(store.get(k3), nullptr);
   TraceKey k4 = k1;
   k4.env_hash = hash_env({{"N", 17}});
   EXPECT_EQ(store.get(k4), nullptr);

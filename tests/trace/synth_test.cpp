@@ -1,13 +1,11 @@
 // Synthesizer tests: the synthesized trace must equal the VM's trace
 // record for record on every eligible kernel (blocked LU included);
-// ineligible programs must say why; sampling must be deterministic and
-// collapse to the full trace at k=1.
+// ineligible programs must say why and fall back to VM recording.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "analysis/assume.hpp"
-#include "cachesim/cache.hpp"
 #include "interp/vm.hpp"
 #include "ir/builder.hpp"
 #include "ir/error.hpp"
@@ -143,78 +141,13 @@ TEST(TraceSynth, ReportsIneligibilityReasons) {
   EXPECT_THROW((void)synthesize(q, {{"N", 4}}, enc), blk::Error);
 }
 
-TEST(TraceSynth, SamplingIsDeterministicAndProportional) {
-  const Program prog = blocked_lu();
-  const Env params{{"N", 65}, {"KS", 8}};
-
-  SynthOptions full;
-  EncodedTrace tf;
-  TraceEncoder ef(tf);
-  const SynthStats sf = synthesize(prog, params, ef, full);
-  ef.finish();
-  EXPECT_EQ(sf.units, sf.kept_units);
-
-  SynthOptions sampled;
-  sampled.sample_every = 4;
-  EncodedTrace t1, t2;
-  TraceEncoder e1(t1), e2(t2);
-  const SynthStats s1 = synthesize(prog, params, e1, sampled);
-  const SynthStats s2 = synthesize(prog, params, e2, sampled);
-  e1.finish();
-  e2.finish();
-
-  // Deterministic: byte-identical between runs.
-  EXPECT_EQ(s1.records, s2.records);
-  EXPECT_EQ(t1.bytes, t2.bytes);
-
-  // Proportional: about 1/4 of the units, and far fewer records.
-  EXPECT_GT(s1.units, 0u);
-  EXPECT_NEAR(static_cast<double>(s1.kept_units),
-              static_cast<double>(s1.units) / 4.0,
-              static_cast<double>(s1.units) / 16.0);
-  EXPECT_LT(s1.records, sf.records / 2);
-  EXPECT_GT(s1.records, 0u);
-
-  // The sampled trace is a subsequence of the full trace's record set in
-  // unit order; spot-check decodability.
-  EXPECT_EQ(decode_all(t1).size(), s1.records);
-}
-
-TEST(TraceSynth, SampledMissRatioTracksFullReplay) {
-  // The contract the sweep relies on: a k-sampled trace predicts the L1
-  // miss ratio of the full trace within a small tolerance.
-  const Program prog = blocked_lu();
-  const Env params{{"N", 65}, {"KS", 8}};
-  cachesim::CacheConfig cfg{.size_bytes = 4096, .line_bytes = 64, .assoc = 2};
-
-  auto miss_ratio = [&](const EncodedTrace& t) {
-    cachesim::Cache cache(cfg);
-    for (const TraceRecord& r : decode_all(t)) cache.access(r.addr);
-    return cache.stats().miss_ratio();
-  };
-
-  EncodedTrace full_t;
-  TraceEncoder ef(full_t);
-  (void)synthesize(prog, params, ef);
-  ef.finish();
-
-  SynthOptions sampled;
-  sampled.sample_every = 4;
-  EncodedTrace samp_t;
-  TraceEncoder es(samp_t);
-  (void)synthesize(prog, params, es, sampled);
-  es.finish();
-
-  EXPECT_NEAR(miss_ratio(samp_t), miss_ratio(full_t), 0.05);
-}
-
 TEST(TraceSynth, SynthesizeOrRecordFallsBackForDataDependentPrograms) {
   const Program guarded = kernels::matmul_guarded_ir();
   const Env params{{"N", 9}};
   bool used_synth = true;
   SynthStats st;
   const EncodedTrace t =
-      synthesize_or_record(guarded, params, 42, {}, &used_synth, &st);
+      synthesize_or_record(guarded, params, 42, &used_synth, &st);
   EXPECT_FALSE(used_synth);
   const std::vector<TraceRecord> want = vm_trace(guarded, params);
   EXPECT_EQ(st.records, want.size());
@@ -225,7 +158,7 @@ TEST(TraceSynth, SynthesizeOrRecordFallsBackForDataDependentPrograms) {
 
   bool synth2 = false;
   const EncodedTrace t2 = synthesize_or_record(kernels::lu_point_ir(),
-                                               {{"N", 12}}, 42, {}, &synth2);
+                                               {{"N", 12}}, 42, &synth2);
   EXPECT_TRUE(synth2);
   EXPECT_EQ(t2.records, vm_trace(kernels::lu_point_ir(), {{"N", 12}}).size());
 }

@@ -12,12 +12,13 @@
 //   blk-opt --auto-b [--cache 64K/64B/4 [--cache 4M/64B/8]] lu.f
 //
 // runs "selectblock(grid); autoblock(b=KS)": the machine model picks KS
-// (analytic working-set candidates refined by a cache-simulator sweep),
-// prints the model-vs-sweep evidence, and exits 1 when the chosen KS's
-// metric is not within --tolerance of the swept optimum.  Probe size,
-// trace sampling and sweep threads are selectblock options:
+// (analytic working-set candidates refined by a cache-simulator sweep that
+// runs each candidate on the VM and streams its accesses into the
+// simulated hierarchy), prints the model-vs-sweep evidence, and exits 1
+// when the chosen KS's metric is not within --tolerance of the swept
+// optimum.  Probe size and sweep threads are selectblock options:
 //
-//   blk-opt --auto-b -p "selectblock(grid, sample=64); autoblock(b=KS)" lu.f
+//   blk-opt --auto-b -p "selectblock(grid, workers=2); autoblock(b=KS)" lu.f
 //
 // Options:
 //   -p, --pipeline SPEC  the pass pipeline (required unless --auto-b;
