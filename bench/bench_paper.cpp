@@ -115,10 +115,10 @@ Inputs square(long n, std::uint64_t seed, double diag_boost, long ks = 1) {
   return in;
 }
 
-/// T1: one convolution's point, derived optconv and hand rows.
+/// T1: one convolution's point and derived optconv rows.
 Table conv_table(std::string id, std::string title, ir::Program (*source)(),
                  kernels::ConvProblem (*problem)(long, std::uint64_t),
-                 std::uint64_t seed, void (*hand)(Inputs&)) {
+                 std::uint64_t seed) {
   auto make = [problem, seed](const Args& s) {
     Inputs in{.conv = problem(s[0], seed)};
     in.env = {{"N1", in.conv.n1}, {"N2", in.conv.n2}, {"N3", in.conv.n3}};
@@ -127,8 +127,7 @@ Table conv_table(std::string id, std::string title, ir::Program (*source)(),
   return {.id = std::move(id), .title = std::move(title), .make = make,
           .sizes = {{300}, {500}, {2000}}, .gate = {24},
           .variants = {ir_row("point", source),
-                       ir_row("optconv", source, "optconv(u=4)"),
-                       {.name = "hand-optconv", .hand = hand, .tol = 1e-12}}};
+                       ir_row("optconv", source, "optconv(u=4)")}};
 }
 
 std::vector<Table> make_tables() {
@@ -144,11 +143,9 @@ std::vector<Table> make_tables() {
   using kernels::lu_point_ir, kernels::lu_pivot_point_ir;
   return {
       conv_table("T1/aconv", "adjoint convolution (paper: 1.80-1.87x)",
-                 kernels::aconv_ir, kernels::ConvProblem::make_aconv, 5,
-                 [](Inputs& in) { kernels::aconv_opt(in.conv); }),
+                 kernels::aconv_ir, kernels::ConvProblem::make_aconv, 5),
       conv_table("T1/conv", "convolution (paper: 1.82-1.91x)",
-                 kernels::conv_ir, kernels::ConvProblem::make_conv, 6,
-                 [](Inputs& in) { kernels::conv_opt(in.conv); }),
+                 kernels::conv_ir, kernels::ConvProblem::make_conv, 6),
       {.id = "T2",
        .title = "guarded matmul, N/frequency(0.1%)/run length (paper: UJ "
                 "slower, UJ+IF ~1.45x)",

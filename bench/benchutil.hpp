@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -180,17 +181,21 @@ inline std::string extract_json_path(int& argc, char** argv,
 /// run still prints a complete table instead of dying on a lookup.
 inline constexpr double kNotRun = -1.0;
 
-/// Console reporter that also records mean per-iteration real time (s)
-/// under each benchmark's full name ("BM_LuPoint/300").
+/// Console reporter that also records per-iteration real time (s) under
+/// each benchmark's full name ("BM_LuPoint/300").  Under
+/// --benchmark_repetitions a name keeps its fastest repetition; the
+/// aggregate rows (_mean, _median, ...) are not recorded.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   std::map<std::string, double> seconds;
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& r : runs) {
-      if (r.iterations > 0)
-        seconds[r.benchmark_name()] =
-            r.real_accumulated_time / static_cast<double>(r.iterations);
+      if (r.run_type == Run::RT_Aggregate || r.iterations <= 0) continue;
+      const double s =
+          r.real_accumulated_time / static_cast<double>(r.iterations);
+      auto [it, fresh] = seconds.try_emplace(r.benchmark_name(), s);
+      if (!fresh) it->second = std::min(it->second, s);
     }
     ConsoleReporter::ReportRuns(runs);
   }

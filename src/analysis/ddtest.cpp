@@ -384,7 +384,11 @@ std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
 
 std::vector<Dependence> all_dependences(ir::StmtList& body,
                                         const DepOptions& opt) {
-  std::vector<RefInfo> refs = collect_refs(body);
+  return all_dependences(collect_refs(body), opt);
+}
+
+std::vector<Dependence> all_dependences(const std::vector<RefInfo>& refs,
+                                        const DepOptions& opt) {
   std::vector<Dependence> out;
   for (std::size_t i = 0; i < refs.size(); ++i) {
     for (std::size_t j = i; j < refs.size(); ++j) {

@@ -66,6 +66,10 @@ struct DepOptions {
 [[nodiscard]] std::vector<Dependence> all_dependences(
     ir::StmtList& body, const DepOptions& opt = {});
 
+/// All dependences among `refs`, a subsequence of collect_refs' output.
+[[nodiscard]] std::vector<Dependence> all_dependences(
+    const std::vector<RefInfo>& refs, const DepOptions& opt = {});
+
 /// Dependences between one ordered occurrence pair (`a` textually first).
 /// May return zero, one (a->b), or two (a->b and reversed b->a) edges.
 /// Candidate direction vectors are screened with a Banerjee-style proof

@@ -59,7 +59,8 @@ Store make_store(const ir::Program& program, const ir::Env& params) {
     next_base += (t.size() * sizeof(double) + 4095) / 4096 * 4096 + 4096;
     store.arrays.emplace(name, std::move(t));
   }
-  for (const auto& s : program.scalars()) store.scalars[s] = 0.0;
+  for (const auto& s : program.scalars())
+    if (!program.is_temporary(s)) store.scalars[s] = 0.0;
   return store;
 }
 
@@ -83,7 +84,16 @@ void Interpreter::run(TraceBuffer* trace) {
   loop_env_ = params_;
   trace_ = trace;
   stmts_ = 0;
+  temps_.clear();
+  for (const auto& t : program_.scalars())
+    if (program_.is_temporary(t)) temps_[t] = 0.0;
   exec_list(program_.body);
+}
+
+double* Interpreter::scalar(const std::string& name) {
+  auto& vars = program_.is_temporary(name) ? temps_ : store_.scalars;
+  auto it = vars.find(name);
+  return it == vars.end() ? nullptr : &it->second;
 }
 
 void Interpreter::exec_list(const ir::StmtList& body) {
@@ -100,7 +110,8 @@ void Interpreter::exec(const ir::Stmt& s) {
         std::vector<long> idx = eval_subs(a.lhs.subs);
         store_element(a.lhs.name, idx, v);
       } else {
-        store_.scalars[a.lhs.name] = v;
+        (program_.is_temporary(a.lhs.name) ? temps_
+                                           : store_.scalars)[a.lhs.name] = v;
       }
       return;
     }
@@ -183,8 +194,7 @@ long Interpreter::ieval(const ir::IExpr& e) {
       if (auto it = loop_env_.find(e.name); it != loop_env_.end())
         return it->second;
       // Integer-valued runtime scalar (IF-inspection counter, pivot row).
-      if (auto it = store_.scalars.find(e.name); it != store_.scalars.end())
-        return static_cast<long>(it->second);
+      if (const double* x = scalar(e.name)) return static_cast<long>(*x);
       throw Error("Interpreter: unbound index variable " + e.name);
     }
     case IKind::Add:
@@ -221,10 +231,9 @@ double Interpreter::eval(const ir::VExpr& e) {
     case VKind::Const:
       return e.cval;
     case VKind::ScalarRef: {
-      auto it = store_.scalars.find(e.name);
-      if (it == store_.scalars.end())
-        throw Error("Interpreter: undeclared scalar " + e.name);
-      return it->second;
+      const double* x = scalar(e.name);
+      if (!x) throw Error("Interpreter: undeclared scalar " + e.name);
+      return *x;
     }
     case VKind::IndexVal:
       return static_cast<double>(ieval(e.index));

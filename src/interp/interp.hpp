@@ -67,7 +67,8 @@ struct Store {
 
 /// Allocate the Store for a program instance: one Tensor per declared
 /// array (evaluated under `params`, each at a distinct 64-byte-aligned
-/// synthetic base address with a guard gap) plus zeroed declared scalars.
+/// synthetic base address with a guard gap) plus zeroed declared scalars
+/// (compiler temporaries are not observable state and stay out).
 /// Both execution engines build their state through this, so their
 /// synthetic address maps — and therefore their traces — agree exactly.
 [[nodiscard]] Store make_store(const ir::Program& program,
@@ -106,6 +107,7 @@ class Interpreter {
   ir::Env params_;
   Store store_;
   ir::Env loop_env_;  ///< params + live loop variables
+  std::map<std::string, double> temps_;  ///< compiler temporaries
   TraceBuffer* trace_ = nullptr;
   std::uint64_t stmts_ = 0;
 
@@ -119,6 +121,9 @@ class Interpreter {
   [[nodiscard]] long ieval(const ir::IExprPtr& e) { return ieval(*e); }
   [[nodiscard]] double eval(const ir::VExpr& e);
   [[nodiscard]] bool eval_cond(const ir::Cond& c);
+  /// A scalar's storage (temporaries live outside the store); null when
+  /// the name is neither.
+  [[nodiscard]] double* scalar(const std::string& name);
   [[nodiscard]] double load(const std::string& name,
                             std::span<const long> idx);
   void store_element(const std::string& name, std::span<const long> idx,

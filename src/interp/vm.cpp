@@ -1,5 +1,6 @@
 #include "interp/vm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -32,6 +33,8 @@ Vm::Vm(const ir::Program& program, ir::Env params)
   ireg_.resize(static_cast<std::size_t>(prog_.n_ireg), 0);
   freg_.resize(static_cast<std::size_t>(prog_.n_freg), 0.0);
   scal_.resize(prog_.scal_names.size(), 0.0);
+  for (std::size_t i = 0; i < prog_.scal_names.size(); ++i)
+    if (!program.is_temporary(prog_.scal_names[i])) synced_.push_back(i);
   arr_data_.reserve(prog_.array_names.size());
   arr_base_.reserve(prog_.array_names.size());
   for (const auto& name : prog_.array_names) {
@@ -42,15 +45,15 @@ Vm::Vm(const ir::Program& program, ir::Env params)
 }
 
 void Vm::sync_scalars_in() {
-  for (std::size_t i = 0; i < scal_.size(); ++i) {
+  std::fill(scal_.begin(), scal_.end(), 0.0);  // temporaries start at 0
+  for (std::size_t i : synced_) {
     auto it = store_.scalars.find(prog_.scal_names[i]);
-    scal_[i] = it == store_.scalars.end() ? 0.0 : it->second;
+    if (it != store_.scalars.end()) scal_[i] = it->second;
   }
 }
 
 void Vm::sync_scalars_out() {
-  for (std::size_t i = 0; i < scal_.size(); ++i)
-    store_.scalars[prog_.scal_names[i]] = scal_[i];
+  for (std::size_t i : synced_) store_.scalars[prog_.scal_names[i]] = scal_[i];
 }
 
 void Vm::run(TraceBuffer* trace) {

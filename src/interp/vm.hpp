@@ -45,6 +45,7 @@ class Vm {
   std::vector<long> ireg_;
   std::vector<double> freg_;
   std::vector<double> scal_;
+  std::vector<std::size_t> synced_;  ///< scalar slots the Store mirrors
   std::vector<double*> arr_data_;      ///< array slot -> element storage
   std::vector<std::uint64_t> arr_base_;  ///< array slot -> synthetic base
   std::uint64_t stmts_ = 0;

@@ -658,12 +658,14 @@ std::string emit_c(const Program& p, const std::string& fn_name,
 
   // The body walk fills pe.aux with outlined workers, which must precede
   // the kernel function in the unit — so emit the body first, then splice.
+  // Compiler temporaries are plain locals: only program scalars take a
+  // slot of the scalar block.
   std::ostringstream body;
   {
     std::size_t slot = 0;
     for (const auto& sc : p.scalars()) {
       body << "  double " << sc << " = ";
-      if (opts.scalar_io)
+      if (opts.scalar_io && !p.is_temporary(sc))
         body << "blk_scalars[" << slot++ << "]";
       else
         body << "0.0";
@@ -674,7 +676,8 @@ std::string emit_c(const Program& p, const std::string& fn_name,
   if (opts.scalar_io) {
     std::size_t slot = 0;
     for (const auto& sc : p.scalars())
-      body << "  blk_scalars[" << slot++ << "] = " << sc << ";\n";
+      if (!p.is_temporary(sc))
+        body << "  blk_scalars[" << slot++ << "] = " << sc << ";\n";
   }
 
   if (par) os << pe.aux.str();

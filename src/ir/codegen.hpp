@@ -60,9 +60,9 @@ struct ParallelOptions {
 /// symbol a dlopen caller can bind without per-program FFI.
 struct EmitOptions {
   /// Append a trailing `double* blk_scalars` parameter; scalars are
-  /// initialized from it (declaration order of Program::scalars()) and
-  /// written back before return, instead of starting at 0.0 and being
-  /// discarded.
+  /// initialized from it (declaration order of Program::scalars(),
+  /// temporaries skipped) and written back before return, instead of
+  /// starting at 0.0 and being discarded.  Temporaries stay locals.
   bool scalar_io = false;
   /// Also emit
   ///

@@ -32,6 +32,11 @@ void Program::scalar(const std::string& name) {
   scalars_.insert(name);
 }
 
+void Program::temporary(const std::string& name) {
+  scalar(name);
+  temporaries_.insert(name);
+}
+
 void Program::param(const std::string& name) {
   if (std::find(params_.begin(), params_.end(), name) == params_.end())
     params_.push_back(name);
@@ -68,6 +73,7 @@ Program Program::clone() const {
   Program p;
   p.arrays_ = arrays_;
   p.scalars_ = scalars_;
+  p.temporaries_ = temporaries_;
   p.params_ = params_;
   p.used_vars_ = used_vars_;
   p.body = clone_list(body);

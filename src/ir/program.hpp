@@ -35,11 +35,19 @@ class Program {
   ArrayDecl& array_bounds(const std::string& name, std::vector<Dim> dims);
   /// Declare a scalar double variable.
   void scalar(const std::string& name);
+  /// Declare a compiler temporary: a scalar (listed in scalars() too)
+  /// whose value is dead outside the code that defines it, such as a
+  /// scalar-replacement accumulator.  Engines keep temporaries out of
+  /// their Store and the scalar block; emitted C makes them locals.
+  void temporary(const std::string& name);
   /// Declare a symbolic integer parameter (N, KS, ...).
   void param(const std::string& name);
 
   [[nodiscard]] bool has_array(const std::string& name) const;
   [[nodiscard]] bool has_scalar(const std::string& name) const;
+  [[nodiscard]] bool is_temporary(const std::string& name) const {
+    return temporaries_.contains(name);
+  }
   [[nodiscard]] bool has_param(const std::string& name) const;
   [[nodiscard]] const ArrayDecl& array_decl(const std::string& name) const;
 
@@ -71,6 +79,7 @@ class Program {
  private:
   std::map<std::string, ArrayDecl> arrays_;
   std::set<std::string> scalars_;
+  std::set<std::string> temporaries_;  ///< subset of scalars_
   std::vector<std::string> params_;
   std::set<std::string> used_vars_;
 };

@@ -1,7 +1,5 @@
 #include "kernels/conv.hpp"
 
-#include <algorithm>
-
 namespace blk::kernels {
 
 ConvProblem ConvProblem::make_aconv(long size, std::uint64_t seed) {
@@ -30,125 +28,6 @@ ConvProblem ConvProblem::make_conv(long size, std::uint64_t seed) {
   fill_random(p.f2, seed + 1);
   fill_random(p.f3, seed + 2);
   return p;
-}
-
-void aconv_point(ConvProblem& p) {
-  const double dt = p.dt;
-  for (long i = 0; i <= p.n3; ++i) {
-    const long khi = std::min(i + p.n2, p.n1);
-    double s = p.f3[i];
-    for (long k = i; k <= khi; ++k) s += dt * p.f1[k] * p.f2[i - k];
-    p.f3[i] = s;
-  }
-}
-
-void aconv_opt(ConvProblem& p) {
-  const double dt = p.dt;
-  const long n1 = p.n1, n2 = p.n2, n3 = p.n3;
-  // Edge contribution for accumulator m over K in [klo, khi] (clamped to
-  // that accumulator's own valid range).
-  auto edge = [&](long base, long m, long klo, long khi) {
-    double s = 0.0;
-    long lo = std::max(klo, base + m);
-    long hi = std::min(khi, std::min(base + m + n2, n1));
-    for (long k = lo; k <= hi; ++k)
-      s += dt * p.f1[k] * p.f2[base + m - k];
-    return s;
-  };
-
-  long i = 0;
-  for (; i + 3 <= n3; i += 4) {
-    // Shared region: K valid for all four accumulators.
-    const long slo = i + 3;
-    const long shi = std::min(i + n2, n1);
-    double s0 = p.f3[i], s1 = p.f3[i + 1], s2 = p.f3[i + 2],
-           s3 = p.f3[i + 3];
-    // Heads (K below the shared region) and tails (K above it).
-    s0 += edge(i, 0, i, slo - 1) + edge(i, 0, shi + 1, n1);
-    s1 += edge(i, 1, i, slo - 1) + edge(i, 1, shi + 1, n1);
-    s2 += edge(i, 2, i, slo - 1) + edge(i, 2, shi + 1, n1);
-    s3 += edge(i, 3, i, slo - 1) + edge(i, 3, shi + 1, n1);
-    const double* f1 = p.f1.flat().data();           // index 0 = K=0
-    const double* f2 = &p.f2[0];                     // f2[-j] valid
-    for (long k = slo; k <= shi; ++k) {
-      const double t = dt * f1[k];
-      s0 += t * f2[i - k];
-      s1 += t * f2[i + 1 - k];
-      s2 += t * f2[i + 2 - k];
-      s3 += t * f2[i + 3 - k];
-    }
-    p.f3[i] = s0;
-    p.f3[i + 1] = s1;
-    p.f3[i + 2] = s2;
-    p.f3[i + 3] = s3;
-  }
-  for (; i <= n3; ++i) {
-    const long khi = std::min(i + n2, n1);
-    double s = p.f3[i];
-    for (long k = i; k <= khi; ++k) s += dt * p.f1[k] * p.f2[i - k];
-    p.f3[i] = s;
-  }
-}
-
-void conv_point(ConvProblem& p) {
-  const double dt = p.dt;
-  for (long i = 0; i <= p.n3; ++i) {
-    const long klo = std::max(0L, i - p.n2);
-    const long khi = std::min(i, p.n1);
-    double s = p.f3[i];
-    for (long k = klo; k <= khi; ++k) s += dt * p.f1[k] * p.f2[i - k];
-    p.f3[i] = s;
-  }
-}
-
-void conv_opt(ConvProblem& p) {
-  const double dt = p.dt;
-  const long n1 = p.n1, n2 = p.n2, n3 = p.n3;
-  auto edge = [&](long base, long m, long klo, long khi) {
-    double s = 0.0;
-    long lo = std::max(klo, std::max(0L, base + m - n2));
-    long hi = std::min(khi, std::min(base + m, n1));
-    for (long k = lo; k <= hi; ++k)
-      s += dt * p.f1[k] * p.f2[base + m - k];
-    return s;
-  };
-
-  long i = 0;
-  for (; i + 3 <= n3; i += 4) {
-    // Shared region: valid for all four accumulators.
-    const long slo = std::max(0L, i + 3 - n2);
-    const long shi = std::min(i, n1);
-    double s0 = p.f3[i], s1 = p.f3[i + 1], s2 = p.f3[i + 2],
-           s3 = p.f3[i + 3];
-    s0 += edge(i, 0, std::max(0L, i - n2), slo - 1) +
-          edge(i, 0, shi + 1, n1);
-    s1 += edge(i, 1, std::max(0L, i + 1 - n2), slo - 1) +
-          edge(i, 1, shi + 1, n1);
-    s2 += edge(i, 2, std::max(0L, i + 2 - n2), slo - 1) +
-          edge(i, 2, shi + 1, n1);
-    s3 += edge(i, 3, std::max(0L, i + 3 - n2), slo - 1) +
-          edge(i, 3, shi + 1, n1);
-    const double* f1 = p.f1.flat().data();
-    const double* f2 = p.f2.flat().data();  // index 0 = F2(0)
-    for (long k = slo; k <= shi; ++k) {
-      const double t = dt * f1[k];
-      s0 += t * f2[i - k];
-      s1 += t * f2[i + 1 - k];
-      s2 += t * f2[i + 2 - k];
-      s3 += t * f2[i + 3 - k];
-    }
-    p.f3[i] = s0;
-    p.f3[i + 1] = s1;
-    p.f3[i + 2] = s2;
-    p.f3[i + 3] = s3;
-  }
-  for (; i <= n3; ++i) {
-    const long klo = std::max(0L, i - p.n2);
-    const long khi = std::min(i, n1);
-    double s = p.f3[i];
-    for (long k = klo; k <= khi; ++k) s += dt * p.f1[k] * p.f2[i - k];
-    p.f3[i] = s;
-  }
 }
 
 }  // namespace blk::kernels

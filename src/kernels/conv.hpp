@@ -1,7 +1,6 @@
-// §3.2 convolution kernels: the oil-exploration loops, in their original
-// point form and after the paper's hand pipeline (index-set splitting of
-// the MIN/MAX trapezoid bounds, unroll-and-jam of I, scalar replacement of
-// the F3 accumulators and the F1 factor).
+// §3.2 convolution inputs: the oil-exploration loops' signals.  The loops
+// themselves are the IR programs aconv_ir()/conv_ir() (ir_kernels.hpp);
+// the compiler derives their optimized forms with optconv.
 #pragma once
 
 #include "kernels/matrix.hpp"
@@ -21,20 +20,5 @@ struct ConvProblem {
   [[nodiscard]] static ConvProblem make_aconv(long size, std::uint64_t seed);
   [[nodiscard]] static ConvProblem make_conv(long size, std::uint64_t seed);
 };
-
-/// Adjoint convolution, point form:
-///   DO I = 0,N3 / DO K = I, MIN(I+N2,N1) / F3(I) += DT*F1(K)*F2(I-K)
-void aconv_point(ConvProblem& p);
-
-/// Adjoint convolution after index-set splitting + unroll-and-jam (factor
-/// 4) + scalar replacement.
-void aconv_opt(ConvProblem& p);
-
-/// Convolution, point form:
-///   DO I = 0,N3 / DO K = MAX(0,I-N2), MIN(I,N1) / F3(I) += DT*F1(K)*F2(I-K)
-void conv_point(ConvProblem& p);
-
-/// Convolution after the same pipeline.
-void conv_opt(ConvProblem& p);
 
 }  // namespace blk::kernels

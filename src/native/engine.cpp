@@ -74,7 +74,8 @@ Kernel::Kernel(const ir::Program& p, const std::string& fn_name,
 
   param_names_ = p.params();
   for (const auto& [name, decl] : p.arrays()) array_names_.push_back(name);
-  for (const auto& sc : p.scalars()) scalar_names_.push_back(sc);
+  for (const auto& sc : p.scalars())
+    if (!p.is_temporary(sc)) scalar_names_.push_back(sc);
 
   source_ = ir::emit_c(
       p, fn_name,

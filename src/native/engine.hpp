@@ -7,9 +7,9 @@
 // so one compile serves every N and the on-disk cache amortizes across
 // processes and sessions.  Callers marshal state through the same
 // ordering contract emit_c's entry wrapper uses: parameter values in
-// declaration order, array base pointers in array-name order, scalars in
-// scalar-name order (the interp::ExecEngine facade does this binding
-// against a Store).
+// declaration order, array base pointers in array-name order, program
+// scalars in scalar-name order, compiler temporaries left out (the
+// interp::ExecEngine facade does this binding against a Store).
 //
 // Every compile/load/run is timed and aggregated in a process-wide stats
 // registry (stats(), stats_json()) so tools can surface per-kernel JIT

@@ -88,24 +88,30 @@ void step_interchange(PipelineContext& ctx) {
   }
 }
 
-int step_register_block(PipelineContext& ctx, Loop& loop, long factor) {
-  // Jam: triangular when the immediate inner bound tracks the unrolled
-  // variable with slope one, rectangular otherwise.
-  bool triangular = false;
-  if (loop.body.size() == 1 && loop.body[0]->kind() == SKind::Loop) {
-    const Loop& inner = loop.body[0]->as_loop();
-    if (auto f = as_affine(*inner.lb);
-        f && f->coef_of(loop.var) == 1 && !mentions(*inner.ub, loop.var))
-      triangular = true;
+RegisterBlockResult step_register_block(PipelineContext& ctx,
+                                        const std::vector<Loop*>& loops,
+                                        std::size_t first, long factor) {
+  RegisterBlockResult r;
+  // Jam every loop before replacing anything: scalar replacement wraps
+  // innermost loops in loads and stores, so a loop still waiting for its
+  // jam would no longer be a perfect nest.
+  for (std::size_t i = first; i < loops.size(); ++i) {
+    Loop& loop = *loops[i];
+    try {
+      if (transform::triangular_nest(loop))
+        transform::unroll_and_jam_triangular(ctx.prog.body, loop, factor,
+                                             &ctx.hints);
+      else
+        transform::unroll_and_jam(ctx.prog.body, loop, factor, &ctx.hints);
+      ++r.jammed;
+    } catch (const Error& e) {
+      r.refused += "; piece " + std::to_string(i + 1) +
+                   " not jammed: " + e.what();
+    }
   }
-  if (triangular)
-    transform::unroll_and_jam_triangular(ctx.prog.body, loop, factor,
-                                         &ctx.hints);
-  else
-    transform::unroll_and_jam(ctx.prog.body, loop, factor, &ctx.hints);
 
-  // Scalar-replace the invariant references of every innermost loop the
-  // jam produced (the unrolled accumulators).
+  // Scalar-replace the invariant references of every innermost loop in
+  // the program (the jammed accumulators among them).
   std::vector<Loop*> innermost;
   for_each_stmt(ctx.prog.body, [&](Stmt& s) {
     if (s.kind() != SKind::Loop) return;
@@ -115,12 +121,11 @@ int step_register_block(PipelineContext& ctx, Loop& loop, long factor) {
       if (c->kind() == SKind::Loop) has_inner = true;
     if (!has_inner) innermost.push_back(&l);
   });
-  int replaced = 0;
   for (Loop* l : innermost)
-    replaced += transform::scalar_replace(ctx.prog, ctx.prog.body, *l,
+    r.groups += transform::scalar_replace(ctx.prog, ctx.prog.body, *l,
                                           ctx.hints);
-  ctx.scalar_groups += replaced;
-  return replaced;
+  ctx.scalar_groups += r.groups;
+  return r;
 }
 
 namespace {
@@ -286,13 +291,9 @@ AutoBlockResult auto_block_plus_impl(PipelineContext& ctx, IExprPtr block,
   if (!result.blocked || unroll <= 1) return result;
   // Register-block the trailing pieces (the perfect nests the strip loop
   // sank into); the first piece keeps the point algorithm, as in Fig. 6.
-  for (std::size_t i = 1; i < result.pieces.size(); ++i) {
-    try {
-      step_register_block(ctx, *result.pieces[i], unroll);
-    } catch (const Error&) {
-      // An unjammable piece stays as derived; blocking already succeeded.
-    }
-  }
+  // An unjammable piece stays as derived: blocking already succeeded.
+  result.refused =
+      step_register_block(ctx, result.pieces, 1, unroll).refused;
   return result;
 }
 
@@ -306,12 +307,12 @@ ConvOptResult optimize_convolution_impl(PipelineContext& ctx, long unroll) {
   result.pieces = transform::split_trapezoid_all(p.body, p.body[0]->as_loop());
   ctx.pieces = result.pieces;
 
+  // 2. Rhomboid (both inner bounds track the outer variable with the same
+  //    slope): normalization makes it rectangular.
   for (Loop* piece : result.pieces) {
     if (piece->body.size() != 1 || piece->body[0]->kind() != SKind::Loop)
       continue;
     Loop& inner = piece->body[0]->as_loop();
-    // 2. Rhomboid (both inner bounds track the outer variable with the
-    //    same slope): normalization makes it rectangular.
     auto flb = as_affine(*inner.lb);
     auto fub = as_affine(*inner.ub);
     if (flb && fub) {
@@ -322,14 +323,13 @@ ConvOptResult optimize_convolution_impl(PipelineContext& ctx, long unroll) {
         ++result.normalized;
       }
     }
-    // 3. Register blocking: unroll-and-jam + scalar replacement.  A piece
-    //    whose dependences or shape refuse stays as split.
-    try {
-      step_register_block(ctx, *piece, unroll);
-      ++result.jammed;
-    } catch (const Error&) {
-    }
   }
+  // 3. Register blocking: unroll-and-jam every piece, then scalar
+  //    replacement.  A piece whose dependences or shape refuse stays as
+  //    split.
+  RegisterBlockResult rb = step_register_block(ctx, result.pieces, 0, unroll);
+  result.jammed = rb.jammed;
+  result.refused = std::move(rb.refused);
   return result;
 }
 

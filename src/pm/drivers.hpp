@@ -8,6 +8,7 @@
 // commutativity)" produce bit-identical derivations by construction.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "pm/pass.hpp"
@@ -33,10 +34,21 @@ void step_distribute(PipelineContext& ctx);
 /// directly (plain strip-mine-and-interchange).
 void step_interchange(PipelineContext& ctx);
 
-/// Register blocking on `loop`: unroll-and-jam (triangular when the shape
-/// demands) followed by scalar replacement of every innermost loop.
-/// Returns the number of scalar groups replaced.
-int step_register_block(PipelineContext& ctx, ir::Loop& loop, long factor);
+/// Outcome of register blocking.
+struct RegisterBlockResult {
+  int jammed = 0;       ///< loops unroll-and-jammed
+  int groups = 0;       ///< scalar groups replaced
+  std::string refused;  ///< "; piece <n> not jammed: <reason>" per refusal
+};
+
+/// Register blocking, the paper's "+" step: unroll-and-jam `loops[first..]`
+/// by `factor` (triangular when the shape demands), then scalar-replace
+/// every innermost loop of the program once.  A refused jam leaves its
+/// loop as it was and is named in `refused` by its 1-based position in
+/// `loops`.
+RegisterBlockResult step_register_block(PipelineContext& ctx,
+                                        const std::vector<ir::Loop*>& loops,
+                                        std::size_t first, long factor);
 
 /// §6: choose the blocking factor KS from the machine model.
 struct SelectBlockOptions {
@@ -65,6 +77,7 @@ struct AutoBlockResult {
   int splits = 0;              ///< index-set splits performed
   int interchanges = 0;        ///< loops the strip variable sank past
   std::vector<ir::Loop*> pieces;  ///< distributed strip loops, in order
+  std::string refused;  ///< autoblockplus: pieces register blocking refused
 };
 
 /// The paper's §5.1 pipeline (the autoblock pass):
@@ -95,6 +108,7 @@ struct ConvOptResult {
   std::vector<ir::Loop*> pieces;  ///< outer loops after trapezoid splitting
   int normalized = 0;             ///< rhomboidal pieces made rectangular
   int jammed = 0;                 ///< pieces register-blocked
+  std::string refused;            ///< pieces register blocking refused
 };
 
 /// The §3.2 pipeline (the optconv pass) for a trapezoidal reduction like
@@ -106,9 +120,10 @@ struct ConvOptResult {
 ///      pieces fall out;
 ///   2. normalize rhomboidal pieces (both inner bounds tracking the outer
 ///      variable) so the inner loop becomes rectangular;
-///   3. register-block each piece (unroll-and-jam by `unroll`, triangular
-///      where the shape demands, then scalar replacement of the invariant
-///      accumulators).  Unjammable pieces are left split-but-unjammed.
+///   3. register-block the pieces (unroll-and-jam each by `unroll`,
+///      triangular where the shape demands, then scalar replacement of the
+///      invariant accumulators).  Unjammable pieces are left split-but-
+///      unjammed and named in `refused`.
 ConvOptResult optimize_convolution_impl(PipelineContext& ctx, long unroll);
 
 /// The paper's §5.4 pipeline (the optgivens pass), applied to a Fig. 9-

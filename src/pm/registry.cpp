@@ -473,7 +473,7 @@ Registry::Registry() {
              ctx, inv.expr("b"), inv.int_or("u", kDefaultUnroll));
          ctx.stage_note = std::string(r.blocked ? "blocked" : "not blocked") +
                           ", " + std::to_string(ctx.scalar_groups) +
-                          " scalar groups";
+                          " scalar groups" + r.refused;
        }});
 
   add({.name = "registerblock",
@@ -483,9 +483,11 @@ Registry::Registry() {
        .options = {{.name = "u", .kind = OptKind::Int,
                     .doc = "unroll factor (default 2)"}},
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
-         int groups = detail::step_register_block(
-             ctx, ctx.target(), inv.int_or("u", kDefaultUnroll));
-         ctx.stage_note = std::to_string(groups) + " scalar groups";
+         detail::RegisterBlockResult r = detail::step_register_block(
+             ctx, {&ctx.target()}, 0, inv.int_or("u", kDefaultUnroll));
+         if (!r.refused.empty())
+           throw Error("registerblock:" + r.refused.substr(1));
+         ctx.stage_note = std::to_string(r.groups) + " scalar groups";
        }});
 
   add({.name = "optconv",
@@ -498,7 +500,7 @@ Registry::Registry() {
          auto r = detail::optimize_convolution_impl(ctx, inv.int_or("u", 4));
          ctx.stage_note = std::to_string(r.pieces.size()) + " pieces, " +
                           std::to_string(r.normalized) + " normalized, " +
-                          std::to_string(r.jammed) + " jammed";
+                          std::to_string(r.jammed) + " jammed" + r.refused;
        }});
 
   add({.name = "optgivens",

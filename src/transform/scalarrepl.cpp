@@ -190,7 +190,7 @@ int scalar_replace(Program& p, StmtList& root, Loop& loop,
     do {
       t = "T" + std::to_string(counter++);
     } while (p.has_scalar(t) || p.has_array(t));
-    p.scalar(t);
+    p.temporary(t);
 
     rewrite_group(loop.body, g.array, g.subs, t);
     // Load before the loop; store after when written.
@@ -266,7 +266,7 @@ int scalar_replace_carried(Program& p, StmtList& root, Loop& loop) {
     do {
       t = "R" + std::to_string(counter++);
     } while (p.has_scalar(t) || p.has_array(t));
-    p.scalar(t);
+    p.temporary(t);
 
     // Rewrite the carried reads to T, and chain the written value into T
     // right after the write's statement.

@@ -140,7 +140,13 @@ void add_remainder(StmtList& parent, std::size_t index, const Loop& main,
 
 bool unroll_and_jam_legal(StmtList& root, Loop& loop, long factor,
                           const Assumptions* ctx) {
-  auto deps = analysis::all_dependences(root, {.ctx = ctx});
+  // Only references inside `loop` can carry a dependence on it; collecting
+  // them from `root` keeps the enclosing loops' ranges in each one.
+  std::vector<analysis::RefInfo> refs = analysis::collect_refs(root);
+  std::erase_if(refs, [&](const analysis::RefInfo& r) {
+    return std::ranges::find(r.loops, &loop) == r.loops.end();
+  });
+  auto deps = analysis::all_dependences(refs, {.ctx = ctx});
   for (const auto& d : deps) {
     std::size_t depth = d.src.common_depth(d.dst);
     std::optional<std::size_t> pos;
@@ -186,6 +192,20 @@ void unroll_and_jam(StmtList& root, Loop& loop, long factor,
                 std::move(orig_ub), std::move(pristine));
 }
 
+bool triangular_nest(const Loop& loop) {
+  if (loop.body.size() != 1 || loop.body[0]->kind() != SKind::Loop)
+    return false;
+  const Loop& inner = loop.body[0]->as_loop();
+  // The split J loops step by one; a strided J range would lose its phase.
+  if (!(inner.step->kind == IKind::Const && inner.step->value == 1))
+    return false;
+  auto tracks = [&](const IExprPtr& bound, const IExprPtr& other) {
+    auto f = as_affine(*bound);
+    return f && f->coef_of(loop.var) == 1 && !mentions(*other, loop.var);
+  };
+  return tracks(inner.lb, inner.ub) || tracks(inner.ub, inner.lb);
+}
+
 void unroll_and_jam_triangular(StmtList& root, Loop& loop, long factor,
                                const Assumptions* ctx, bool check) {
   PassScope scope("unroll-and-jam-triangular", root);
@@ -195,60 +215,64 @@ void unroll_and_jam_triangular(StmtList& root, Loop& loop, long factor,
     throw Error(
         "unroll_and_jam_triangular: need a perfect 2-deep nest under " +
         loop.var);
-  Loop& inner = loop.body[0]->as_loop();
-  auto f = as_affine(*inner.lb);
-  if (!f || f->coef_of(loop.var) != 1)
-    throw Error(
-        "unroll_and_jam_triangular: inner lower bound must be " + loop.var +
-        " + beta (slope one)");
-  if (mentions(*inner.ub, loop.var))
-    throw Error(
-        "unroll_and_jam_triangular: inner upper bound must not depend on " +
-        loop.var);
+  if (!triangular_nest(loop))
+    throw Error("unroll_and_jam_triangular: need a unit-step inner loop "
+                "with one bound " + loop.var + " + beta (slope one) and the "
+                "other free of " + loop.var);
   if (check && !unroll_and_jam_legal(root, loop, factor, ctx))
     throw Error("unroll_and_jam_triangular: dependences forbid jamming " +
                 loop.var);
 
+  Loop& inner = loop.body[0]->as_loop();
+  const std::string i = loop.var;
+  const std::string it = i + "T";  // induction variable of the ragged part
+  auto flb = as_affine(*inner.lb);
+  const bool lower = flb && flb->coef_of(i) == 1;
+  IExprPtr fixed = lower ? inner.ub : inner.lb;  // the bound free of I
+  IExprPtr beta = from_affine(*as_affine(lower ? *inner.lb : *inner.ub) -
+                              Affine::variable(i, 1));
+  auto at = [&](const std::string& var, long k) {  // var + k + beta
+    return simplify(iadd(iadd(ivar(var), iconst(k)), beta));
+  };
+
   LoopLocation loc = locate(root, loop);
   IExprPtr orig_lb = loop.lb;
   IExprPtr orig_ub = loop.ub;
-  IExprPtr m = inner.ub;                         // independent upper bound
-  Affine beta_aff = *f - Affine::variable(loop.var, 1);
-  IExprPtr beta = from_affine(beta_aff);
   std::string jvar = inner.var;
   StmtList pristine = clone_list(loop.body);
   StmtList inner_body = std::move(inner.body);
 
-  const std::string i = loop.var;
-  const std::string ii = i + "T";  // triangular-head induction variable
-
-  // Triangular head: DO II = I, I+f-2 / DO J = II+beta, MIN(I+f-2+beta, M).
-  StmtList head_inner_body = clone_list(inner_body);
-  substitute_index_in_list(head_inner_body, i, ivar(ii));
-  IExprPtr head_j_ub =
-      imin(simplify(iadd(iadd(ivar(i), iconst(factor - 2)), beta)), m);
-  StmtPtr head_j = make_loop(
-      jvar, simplify(iadd(ivar(ii), beta)), std::move(head_j_ub),
-      std::move(head_inner_body));
-  // The head body uses II where the original used I; the substitution above
-  // replaced I inside the body, and the J bound uses II directly.
-  StmtList head_body;
-  head_body.push_back(std::move(head_j));
-  StmtPtr head = make_loop(ii, ivar(i),
-                           simplify(iadd(ivar(i), iconst(factor - 2))),
-                           std::move(head_body));
-
-  // Rectangular part: DO J = I+f-1+beta, M with the body unrolled over the
-  // strip I .. I+f-1.
-  std::vector<StmtList> copies = make_copies(inner_body, i, factor);
-  StmtList rect_body = jam(std::move(copies));
-  StmtPtr rect = make_loop(
-      jvar, simplify(iadd(iadd(ivar(i), iconst(factor - 1)), beta)), m,
-      std::move(rect_body));
-
+  // The J range all `factor` copies share, jammed; each copy keeps its
+  // ascending J order across the two parts.
+  StmtList ragged_body = clone_list(inner_body);
+  substitute_index_in_list(ragged_body, i, ivar(it));
+  StmtList rect_body = jam(make_copies(inner_body, i, factor));
+  StmtList ragged;
   loop.body.clear();
-  loop.body.push_back(std::move(head));
-  loop.body.push_back(std::move(rect));
+  if (lower) {
+    // Triangular head, then the rectangle:
+    //   DO IT = I, I+f-2 / DO J = IT+beta, MIN(I+f-2+beta, M)
+    //   DO J = I+f-1+beta, M
+    ragged.push_back(make_loop(jvar, at(it, 0),
+                               imin(at(i, factor - 2), fixed),
+                               std::move(ragged_body)));
+    loop.body.push_back(make_loop(it, ivar(i),
+                                  simplify(iadd(ivar(i), iconst(factor - 2))),
+                                  std::move(ragged)));
+    loop.body.push_back(make_loop(jvar, at(i, factor - 1), fixed,
+                                  std::move(rect_body)));
+  } else {
+    // The rectangle, then the triangular tail:
+    //   DO J = L, I+beta
+    //   DO IT = I+1, I+f-1 / DO J = MAX(L, I+beta+1), IT+beta
+    loop.body.push_back(
+        make_loop(jvar, fixed, at(i, 0), std::move(rect_body)));
+    ragged.push_back(make_loop(jvar, imax(fixed, at(i, 1)), at(it, 0),
+                               std::move(ragged_body)));
+    loop.body.push_back(make_loop(it, simplify(iadd(ivar(i), iconst(1))),
+                                  simplify(iadd(ivar(i), iconst(factor - 1))),
+                                  std::move(ragged)));
+  }
   loop.ub = simplify(isub(loop.ub, iconst(factor - 1)));
   loop.step = iconst(factor);
   add_remainder(*loc.parent, loc.index, loop, std::move(orig_lb),

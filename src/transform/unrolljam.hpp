@@ -24,31 +24,37 @@ void unroll_and_jam(ir::StmtList& root, ir::Loop& loop, long factor,
                     const analysis::Assumptions* ctx = nullptr,
                     bool check = true);
 
-/// Triangular unroll-and-jam (§3.1) for a 2-deep nest
+/// Triangular unroll-and-jam (§3.1) for a 2-deep nest whose unit-step
+/// inner loop has one bound tracking I with slope one (J = I+beta) and
+/// the other free of I.  Per strip of `factor` iterations of I (the
+/// paper's Fig. in §3.1 with alpha = 1), the J range every copy shares is
+/// jammed and the ragged part runs one copy at a time (f = factor):
 ///
-///   DO I = lb, ub
-///     DO J = I+beta, M         ! lower bound tracks I with slope 1
-///       <body>
+///   DO I = lb, ub                DO I = lb, ub-(f-1), f
+///     DO J = I+beta, M             DO IT = I, I+f-2
+///       <body>              =>       DO J = IT+beta, MIN(I+f-2+beta, M)
+///                                      <body(IT)>
+///                                  DO J = I+f-1+beta, M
+///                                    <body(I) ... body(I+f-1)>
+///                                DO I = ..., ub          ! remainder
 ///
-/// Produces, per strip of `factor` iterations of I (the paper's Fig. in
-/// §3.1 with alpha = 1):
+///   DO I = lb, ub                DO I = lb, ub-(f-1), f
+///     DO J = L, I+beta             DO J = L, I+beta
+///       <body>              =>       <body(I) ... body(I+f-1)>
+///                                  DO IT = I+1, I+f-1
+///                                    DO J = MAX(L, I+beta+1), IT+beta
+///                                      <body(IT)>
+///                                DO I = ..., ub          ! remainder
 ///
-///   DO I = lb, ub-(factor-1), factor
-///     DO II = I, I+factor-2              ! triangular head, not unrolled
-///       DO J = II+beta, MIN(I+factor-2+beta, M)
-///         <body(II)>
-///     DO J = I+factor-1+beta, M          ! rectangular part, unrolled
-///       <body(I) ... body(I+factor-1)>
-///   DO I = ..., ub                       ! remainder
-///     DO J = I+beta, M
-///       <body>
-///
-/// Requires the inner lower bound to be exactly I + beta (slope one, the
-/// form every kernel in the paper exhibits).
+/// Every copy still visits its J values in ascending order, so a jam the
+/// legality test admits reorders no reduction.
 void unroll_and_jam_triangular(ir::StmtList& root, ir::Loop& loop,
                                long factor,
                                const analysis::Assumptions* ctx = nullptr,
                                bool check = true);
+
+/// Whether `loop` heads the 2-deep shape unroll_and_jam_triangular takes.
+[[nodiscard]] bool triangular_nest(const ir::Loop& loop);
 
 /// Legality.  Jamming maps iteration order (k, position) to
 /// (position, k-within-strip), so it is an interchange in disguise and is

@@ -6,6 +6,7 @@
 
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include "bench/benchutil.hpp"
@@ -19,6 +20,31 @@ TEST(CaptureReporter, MissingNameReturnsSentinel) {
   rep.seconds["BM_Real/10"] = 0.25;
   EXPECT_EQ(rep.get("BM_Real/10"), 0.25);
   EXPECT_EQ(rep.get("BM_Real/11"), kNotRun);
+}
+
+TEST(CaptureReporter, KeepsFastestRepetitionAndSkipsAggregates) {
+  using Run = benchmark::BenchmarkReporter::Run;
+  auto run = [](double seconds, Run::RunType type, const char* aggregate) {
+    Run r;
+    r.run_name.function_name = "BM_Real/10";
+    r.run_type = type;
+    r.aggregate_name = aggregate;
+    r.iterations = 4;
+    r.real_accumulated_time = 4 * seconds;
+    r.cpu_accumulated_time = 4 * seconds;
+    return r;
+  };
+  CaptureReporter rep;
+  std::ostringstream console;
+  rep.SetOutputStream(&console);
+  rep.SetErrorStream(&console);
+  // Repetitions arrive one report each, then the aggregates together.
+  rep.ReportRuns({run(0.25, Run::RT_Iteration, "")});
+  rep.ReportRuns({run(0.5, Run::RT_Iteration, "")});
+  rep.ReportRuns({run(0.375, Run::RT_Aggregate, "mean")});
+  EXPECT_EQ(rep.get("BM_Real/10"), 0.25);
+  EXPECT_EQ(rep.get("BM_Real/10_mean"), kNotRun);
+  EXPECT_EQ(rep.seconds.size(), 1u);
 }
 
 TEST(FmtTime, RendersSentinelAsNa) {

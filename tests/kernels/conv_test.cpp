@@ -1,41 +1,63 @@
-// Convolution kernel tests: the optimized variants must match the point
-// forms (§3.2's table T1 subjects).
+// Convolution kernel tests: the optimized variants, which the compiler
+// derives with optconv, must match the point forms bitwise (§3.2's table
+// T1 subjects) at the paper's sizes and at sizes whose unrolled main
+// loops barely run.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
 
+#include "interp/vm.hpp"
 #include "kernels/conv.hpp"
+#include "kernels/ir_kernels.hpp"
+#include "pm/runner.hpp"
 
 namespace blk::kernels {
 namespace {
 
-[[nodiscard]] double max_diff(const Signal& a, const Signal& b) {
-  double m = 0.0;
-  auto fa = a.flat();
-  auto fb = b.flat();
-  for (std::size_t i = 0; i < fa.size(); ++i)
-    m = std::max(m, std::fabs(fa[i] - fb[i]));
-  return m;
+/// Run `p` on `in`'s signals; returns the final F3.
+std::vector<double> run(const ir::Program& p, const ConvProblem& in,
+                        interp::Engine engine) {
+  interp::ExecEngine e(p, {{"N1", in.n1}, {"N2", in.n2}, {"N3", in.n3}},
+                       engine);
+  for (const auto& [name, sig] :
+       {std::pair{"F1", &in.f1}, {"F2", &in.f2}, {"F3", &in.f3}})
+    std::ranges::copy(sig->flat(), e.store().arrays.at(name).flat().begin());
+  e.store().scalars["DT"] = in.dt;
+  e.run();
+  auto f3 = e.store().arrays.at("F3").flat();
+  return {f3.begin(), f3.end()};
+}
+
+/// optconv(u=4)'s kernel, on the VM and natively, is bitwise equal to the
+/// point program on the VM.
+void expect_derived_matches_point(ir::Program (*source)(),
+                                  const ConvProblem& in) {
+  const ir::Program point = source();
+  ir::Program derived = source();
+  (void)pm::run_spec(derived, "optconv(u=4)");
+  const std::vector<double> want = run(point, in, interp::Engine::Vm);
+  for (interp::Engine engine : {interp::Engine::Vm, interp::Engine::Native}) {
+    const std::vector<double> got = run(derived, in, engine);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << interp::to_string(engine) << ", size " << in.n3 + 1;
+  }
 }
 
 class ConvSizes : public ::testing::TestWithParam<long> {};
 
 TEST_P(ConvSizes, AconvOptMatchesPoint) {
-  const long size = GetParam();
-  ConvProblem a = ConvProblem::make_aconv(size, 5);
-  ConvProblem b = ConvProblem::make_aconv(size, 5);
-  aconv_point(a);
-  aconv_opt(b);
-  EXPECT_LE(max_diff(a.f3, b.f3), 1e-12) << "size " << size;
+  expect_derived_matches_point(aconv_ir,
+                               ConvProblem::make_aconv(GetParam(), 5));
 }
 
 TEST_P(ConvSizes, ConvOptMatchesPoint) {
-  const long size = GetParam();
-  ConvProblem a = ConvProblem::make_conv(size, 6);
-  ConvProblem b = ConvProblem::make_conv(size, 6);
-  conv_point(a);
-  conv_opt(b);
-  EXPECT_LE(max_diff(a.f3, b.f3), 1e-12) << "size " << size;
+  expect_derived_matches_point(conv_ir, ConvProblem::make_conv(GetParam(), 6));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConvSizes,
@@ -69,42 +91,6 @@ TEST(Conv, TriangularWorkFractionNearPaperSetting) {
   double frac = tri / (tri + rect);
   EXPECT_GT(frac, 0.65);
   EXPECT_LT(frac, 0.85);
-}
-
-TEST(Conv, AccumulatesOntoExistingOutput) {
-  // F3 is updated, not overwritten: running twice doubles the increment.
-  ConvProblem p = ConvProblem::make_conv(40, 7);
-  Signal before = p.f3;
-  conv_point(p);
-  Signal once = p.f3;
-  conv_point(p);
-  for (long i = 0; i <= p.n3; ++i) {
-    double inc = once[i] - before[i];
-    EXPECT_NEAR(p.f3[i], once[i] + inc, 1e-9 * (1.0 + std::fabs(once[i])));
-  }
-}
-
-TEST(Conv, DtScalesLinearly) {
-  ConvProblem a = ConvProblem::make_aconv(50, 8);
-  ConvProblem b = ConvProblem::make_aconv(50, 8);
-  for (double& x : a.f3.flat()) x = 0.0;
-  for (double& x : b.f3.flat()) x = 0.0;
-  b.dt = 2.0 * a.dt;
-  aconv_point(a);
-  aconv_point(b);
-  for (long i = 0; i <= a.n3; ++i)
-    EXPECT_NEAR(b.f3[i], 2.0 * a.f3[i], 1e-9 * (1.0 + std::fabs(a.f3[i])));
-}
-
-TEST(Conv, TinySizesExerciseEdgeLoops) {
-  // size 2-4: the unrolled main loop barely runs; heads/tails dominate.
-  for (long size : {2L, 3L, 4L}) {
-    ConvProblem a = ConvProblem::make_aconv(size, 9);
-    ConvProblem b = ConvProblem::make_aconv(size, 9);
-    aconv_point(a);
-    aconv_opt(b);
-    EXPECT_LE(max_diff(a.f3, b.f3), 1e-12);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 // Guarded-matmul kernel tests (§4's table T2 subjects).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "interp/vm.hpp"
+#include "kernels/ir_kernels.hpp"
 #include "kernels/matmul.hpp"
+#include "pm/runner.hpp"
 
 namespace blk::kernels {
 namespace {
@@ -108,6 +114,42 @@ TEST(GuardedMatmul, RemainderColumnsHandled) {
     EXPECT_LE(max_abs_diff(c0, c1), 1e-12) << n;
   }
 }
+
+/// T2's derived UJ+IF: IF-inspection of K, then unroll-and-jam of the
+/// executor's K loop by 4 (the spec bench_paper times).
+class DerivedUjIf : public ::testing::TestWithParam<long> {};
+
+TEST_P(DerivedUjIf, BitwiseEqualToGuardedOnTheVm) {
+  const long n = GetParam();
+  const ir::Program point = matmul_guarded_ir();
+  ir::Program derived = point.clone();
+  (void)pm::run_spec(derived,
+                     "focus(var=K); ifinspect; focus(var=K, index=1); "
+                     "unrolljam(u=4)");
+  for (double density : {0.0, 0.025, 1.0})
+    for (std::size_t run_len : {1u, 8u}) {
+      const Matrix b = make_guard_matrix(static_cast<std::size_t>(n),
+                                         density, run_len, 42);
+      auto run = [&](const ir::Program& p) {
+        interp::ExecEngine e(p, {{"N", n}});
+        interp::seed_store(e.store(), 41);
+        std::ranges::copy(b.flat(), e.store().arrays.at("B").flat().begin());
+        e.run();
+        return std::move(e.store());
+      };
+      const interp::Store want = run(point), got = run(derived);
+      for (const auto& [name, t] : want.arrays) {
+        const auto w = t.flat(), g = got.arrays.at(name).flat();
+        EXPECT_EQ(std::memcmp(w.data(), g.data(), w.size_bytes()), 0)
+            << name << " differs: N " << n << ", density " << density
+            << ", run length " << run_len;
+      }
+    }
+}
+
+// 5, 7, 9 and 13 leave K remainders after the jam by 4.
+INSTANTIATE_TEST_SUITE_P(Sizes, DerivedUjIf,
+                         ::testing::Values(5L, 7L, 9L, 13L, 24L));
 
 }  // namespace
 }  // namespace blk::kernels

@@ -130,6 +130,34 @@ TEST(NativeEngine, GivensScalarsRoundTripLikeVm) {
                            3, {{"A", 19.0}});
 }
 
+// Scalar replacement's temporaries are not observable state: no engine's
+// store holds them and the native scalar block leaves them out, while
+// the arrays still agree bitwise across the three engines.
+TEST(NativeEngine, ScalarReplacementTemporariesStayLocal) {
+  if (!available()) GTEST_SKIP() << "no host C toolchain";
+  ir::Program p = kernels::aconv_ir();
+  (void)pm::run_spec(p, "optconv(u=4)");
+  std::vector<std::string> temps;
+  for (const auto& name : p.scalars())
+    if (p.is_temporary(name)) temps.push_back(name);
+  ASSERT_FALSE(temps.empty());
+  const ir::Env env{{"N1", 40}, {"N2", 34}, {"N3", 40}};
+  interp::ExecEngine tree(p, env, interp::Engine::TreeWalker);
+  interp::ExecEngine vm(p, env, interp::Engine::Vm);
+  interp::ExecEngine nat(p, env, interp::Engine::Native);
+  for (interp::ExecEngine* e : {&tree, &vm, &nat}) {
+    test::seed_inputs(*e, 5);
+    e->store().scalars["DT"] = 0.25;
+    e->run();
+    for (const auto& t : temps)
+      EXPECT_FALSE(e->store().scalars.contains(t))
+          << t << " in the " << interp::to_string(e->engine()) << " store";
+  }
+  expect_bitwise_equal(tree.store(), vm.store());
+  expect_bitwise_equal(vm.store(), nat.store());
+  EXPECT_EQ(Kernel(p).scalar_names(), std::vector<std::string>{"DT"});
+}
+
 TEST(NativeEngine, OneCompileServesEveryParameterBinding) {
   if (!available()) GTEST_SKIP() << "no host C toolchain";
   ir::Program p = kernels::lu_point_ir();

@@ -127,17 +127,52 @@ TEST(UnrollJamTriangular, Structure) {
   EXPECT_EQ(rect.body.size(), 4u);  // four unrolled copies
 }
 
+/// The other triangular shape: DO I / DO J = 1, I+M-9, the upper bound
+/// tracking I (beta = M-9 runs negative, so some rows are empty and the
+/// shared J range starts late).
+Program upper_tri_nest() {
+  Program p;
+  p.param("N");
+  p.param("M");
+  p.array("A", {v("N"), iadd(v("N"), v("M"))});
+  p.array("B", {iadd(v("N"), v("M"))});
+  p.add(loop("I", c(1), v("N"),
+             loop("J", c(1), v("I") + v("M") - 9,
+                  assign(lv("A", {v("I"), v("J")}),
+                         a("A", {v("I"), v("J")}) + a("B", {v("J")})))));
+  return p;
+}
+
+TEST(UnrollJamTriangular, UpperBoundStructure) {
+  Program p = upper_tri_nest();
+  unroll_and_jam_triangular(p.body, p.body[0]->as_loop(), 4);
+  ASSERT_EQ(p.body.size(), 2u);
+  Loop& main = p.body[0]->as_loop();
+  ASSERT_EQ(main.body.size(), 2u);  // rectangular part + triangular tail
+  Loop& rect = main.body[0]->as_loop();
+  EXPECT_EQ(to_string(rect.ub), "I+M-9");
+  EXPECT_EQ(rect.body.size(), 4u);  // four unrolled copies
+  Loop& tail = main.body[1]->as_loop();
+  EXPECT_EQ(tail.var, "IT");
+  EXPECT_EQ(to_string(tail.lb), "I+1");
+  EXPECT_EQ(to_string(tail.ub), "I+3");
+  EXPECT_EQ(to_string(tail.body[0]->as_loop().ub), "IT+M-9");
+}
+
 class TriangularUJEquivalence
     : public ::testing::TestWithParam<std::tuple<long, long, long>> {};
 
 TEST_P(TriangularUJEquivalence, Semantics) {
   auto [n, m, factor] = GetParam();
-  Program p = tri_nest();
-  Program q = p.clone();
-  unroll_and_jam_triangular(q.body, q.body[0]->as_loop(), factor);
-  EXPECT_PROGRAMS_EQUIVALENT(p, q, (ir::Env{{"N", n}, {"M", m}}), 32);
+  for (Program (*nest)() : {tri_nest, upper_tri_nest}) {
+    Program p = nest();
+    Program q = p.clone();
+    unroll_and_jam_triangular(q.body, q.body[0]->as_loop(), factor);
+    EXPECT_PROGRAMS_EQUIVALENT(p, q, (ir::Env{{"N", n}, {"M", m}}), 32);
+  }
 }
 
+// N = 1 and 3 give trips shorter than the factor.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TriangularUJEquivalence,
     ::testing::Combine(::testing::Values(1L, 3L, 8L, 11L),
@@ -152,6 +187,15 @@ TEST(UnrollJamTriangular, RequiresUnitSlope) {
   p.add(loop("I", c(1), v("N"),
              loop("J", imul(c(2), v("I")), v("M"),
                   assign(lv("A", {v("I"), v("J")}), f(1.0)))));
+  EXPECT_THROW(
+      unroll_and_jam_triangular(p.body, p.body[0]->as_loop(), 2),
+      blk::Error);
+}
+
+TEST(UnrollJamTriangular, RequiresUnitInnerStep) {
+  // DO J = I, M, 2: the split J ranges would restart off its stride.
+  Program p = tri_nest();
+  p.body[0]->as_loop().body[0]->as_loop().step = c(2);
   EXPECT_THROW(
       unroll_and_jam_triangular(p.body, p.body[0]->as_loop(), 2),
       blk::Error);

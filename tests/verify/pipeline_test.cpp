@@ -39,7 +39,7 @@ TEST(VerifiedPipeline, ConvolutionDerivationVerifies) {
   Program p = kernels::conv_ir();
   VerifiedPipeline vp(p);
   pm::RunReport r = pm::run_spec(p, "optconv(u=4)");
-  EXPECT_EQ(r.passes[0].note, "4 pieces, 1 normalized, 1 jammed");
+  EXPECT_EQ(r.passes[0].note, "4 pieces, 1 normalized, 4 jammed");
   EXPECT_FALSE(vp.steps().empty());
   EXPECT_TRUE(vp.ok()) << vp.to_string() << print(p.body);
 }
