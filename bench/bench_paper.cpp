@@ -5,10 +5,10 @@
 // native hot tier (opt_level 3: -O3 -funroll-loops).  The block algorithms
 // the compiler cannot derive (T3's Sorensen "1", A3's compact-WY
 // Householder) are §6 BLOCK DO programs from tools/examples, their factor
-// BS_K bound to the table's KS.  Hand C++ rows remain only where the
-// compiler does not yet match them.  Gates run before any timing, for every
-// row whatever --benchmark_filter selects, and any failure exits 1: each
-// derivation verifies, each row's program (or hand kernel) is bitwise
+// BS_K bound to the table's KS.  The one hand C++ row is T2's UJ, the
+// transformation the compiler refuses.  Gates run before any timing, for
+// every row whatever --benchmark_filter selects, and any failure exits 1:
+// each derivation verifies, each row's program (or hand kernel) is bitwise
 // equal to its table's point program on the VM at a small binding, or
 // within the row's tolerance where it reassociates, and each native kernel
 // is bitwise equal to the VM there.  Writes BENCH_paper.json
@@ -32,7 +32,6 @@
 #include "kernels/conv.hpp"
 #include "kernels/ir_kernels.hpp"
 #include "kernels/matmul.hpp"
-#include "kernels/qr_givens.hpp"
 #include "lang/parser.hpp"
 #include "native/engine.hpp"
 #include "pm/runner.hpp"
@@ -161,14 +160,10 @@ std::vector<Table> make_tables() {
                     ir_row("UJ+IF", kernels::matmul_guarded_ir,
                            "focus(var=K); ifinspect; focus(var=K, index=1); "
                            "unrolljam(u=4)"),
+                    // The transformation the compiler refuses (`refused`).
                     {.name = "hand-UJ",
                      .hand = [](Inputs& in) {
                        kernels::matmul_uj_guard_inside(in.a, in.b, in.c);
-                     },
-                     .tol = 1e-11},
-                    {.name = "hand-UJ+IF",
-                     .hand = [](Inputs& in) {
-                       kernels::matmul_uj_ifinspect(in.a, in.b, in.c);
                      },
                      .tol = 1e-11}},
        .refused = "focus(var=K); unrolljam(u=4)"},
@@ -192,9 +187,9 @@ std::vector<Table> make_tables() {
        .sizes = {{300}, {500}, {1000}}, .gate = {24},
        .variants = {ir_row("point", kernels::givens_qr_ir),
                     ir_row("optgivens", kernels::givens_qr_ir, "optgivens"),
-                    {.name = "hand-optgivens",
-                     .hand = [](Inputs& in) { kernels::givens_qr_opt(in.a); },
-                     .tol = 1e-10}},
+                    ir_row("optgivens+", kernels::givens_qr_ir,
+                           "optgivens; focus(var=K, index=1); "
+                           "registerblock(u=4)")},
        .restore = true},
       {.id = "A3",
        .title = "Householder QR, compact-WY BLOCK DO (§5.3: underivable)",

@@ -62,29 +62,10 @@ Section AnalysisManager::section_within(const RefInfo& ref,
   return s;
 }
 
-std::vector<LoopReuse> AnalysisManager::reuse(ir::StmtList& body,
-                                              long line_elements) {
-  ReuseKey key{.body = &body, .line_elements = line_elements};
-  if (caching_) {
-    auto it = reuse_cache_.find(key);
-    if (it != reuse_cache_.end()) {
-      ++stats_.reuse_hits;
-      return it->second;
-    }
-  }
-  ++stats_.reuse_misses;
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<LoopReuse> r = analyze_reuse(body, line_elements);
-  stats_.build_seconds += seconds_since(t0);
-  if (caching_) reuse_cache_.insert_or_assign(key, r);
-  return r;
-}
-
 void AnalysisManager::invalidate() {
   ++stats_.invalidations;
   dep_cache_.clear();
   section_cache_.clear();
-  reuse_cache_.clear();
 }
 
 AnalysisManager* current_analysis_manager() {

@@ -1,7 +1,7 @@
 // AnalysisManager: memoization of the expensive program analyses
-// (dependence graphs, regular sections, reuse classification) keyed by
-// statement-subtree identity, with invalidation driven by the pass
-// instrumentation hooks (transform/instrument.hpp).
+// (dependence graphs and regular sections) keyed by statement-subtree
+// identity, with invalidation driven by the pass instrumentation hooks
+// (transform/instrument.hpp).
 //
 // Why: every driver in the repo used to rebuild `DepGraph` from scratch at
 // each step — Procedure IndexSetSplit alone builds the same graph three to
@@ -10,7 +10,7 @@
 // trial split commits.  The manager caches analysis results between IR
 // mutations: every PassScope ends with `notify_pass_end`, which drops every
 // cached result (every transformation rewrites statement nodes somewhere
-// under its root, and all three analysis families key on node identity;
+// under its root, and both analysis families key on node identity;
 // aborted passes restore values, not node identities).
 //
 // Lifetime: dependence graphs are handed out as shared_ptr, so a client
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "analysis/depgraph.hpp"
-#include "analysis/reuse.hpp"
 #include "analysis/sections.hpp"
 
 namespace blk::analysis {
@@ -57,9 +56,6 @@ class AnalysisManager {
   /// subscript-node identities, which are stable between IR mutations).
   Section section_within(const RefInfo& ref, const ir::Loop& outer);
 
-  /// Memoized `analyze_reuse(body, line_elements)`.
-  std::vector<LoopReuse> reuse(ir::StmtList& body, long line_elements = 8);
-
   /// Drop every cached result.  Called from the PassScope hook; also call
   /// directly after mutating the tree outside any pass (manual trial
   /// undo).
@@ -75,22 +71,20 @@ class AnalysisManager {
     if (!on) {
       dep_cache_.clear();
       section_cache_.clear();
-      reuse_cache_.clear();
     }
   }
 
   struct Stats {
     std::uint64_t dep_hits = 0, dep_misses = 0;
     std::uint64_t section_hits = 0, section_misses = 0;
-    std::uint64_t reuse_hits = 0, reuse_misses = 0;
     std::uint64_t invalidations = 0;
     double build_seconds = 0;  ///< wall time constructing analyses (misses)
 
     [[nodiscard]] std::uint64_t hits() const {
-      return dep_hits + section_hits + reuse_hits;
+      return dep_hits + section_hits;
     }
     [[nodiscard]] std::uint64_t misses() const {
-      return dep_misses + section_misses + reuse_misses;
+      return dep_misses + section_misses;
     }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -112,17 +106,11 @@ class AnalysisManager {
     std::vector<const void*> loops;
     auto operator<=>(const SectionKey&) const = default;
   };
-  struct ReuseKey {
-    const void* body;
-    long line_elements;
-    auto operator<=>(const ReuseKey&) const = default;
-  };
 
   bool caching_;
   Stats stats_;
   std::map<DepKey, DepGraphPtr> dep_cache_;
   std::map<SectionKey, Section> section_cache_;
-  std::map<ReuseKey, std::vector<LoopReuse>> reuse_cache_;
 };
 
 /// The innermost manager installed on this thread (nullptr when none).

@@ -1,5 +1,8 @@
 #include "analysis/refs.hpp"
 
+#include <algorithm>
+#include <map>
+
 namespace blk::analysis {
 
 using namespace blk::ir;
@@ -183,6 +186,29 @@ std::set<std::string> privatizable_scalars(ir::StmtList& body) {
     if (!r.is_scalar() || decided.contains(r.array)) continue;
     decided.insert(r.array);
     if (r.is_write && !conditional.contains(r.array)) out.insert(r.array);
+  }
+  return out;
+}
+
+std::set<std::string> private_scalars(ir::StmtList& root, ir::Loop& loop) {
+  std::map<const Loop*, std::set<std::string>> defined_first;
+  std::set<std::string> out;
+  auto note = [&](Loop& l) {
+    const auto& names = defined_first[&l] = privatizable_scalars(l.body);
+    out.insert(names.begin(), names.end());
+  };
+  note(loop);
+  for_each_stmt(loop.body, [&](Stmt& s) {
+    if (s.kind() == SKind::Loop) note(s.as_loop());
+  });
+  if (out.empty()) return out;
+  for (const RefInfo& r : collect_refs(root)) {
+    if (!r.is_scalar() || !out.contains(r.array)) continue;
+    auto at = std::ranges::find(r.loops, &loop);
+    if (std::none_of(at, r.loops.end(), [&](const Loop* l) {
+          return defined_first[l].contains(r.array);
+        }))
+      out.erase(r.array);
   }
   return out;
 }

@@ -52,4 +52,14 @@ struct RefInfo {
 /// dependences on these names (each iteration can use its own copy).
 [[nodiscard]] std::set<std::string> privatizable_scalars(ir::StmtList& body);
 
+/// Scalars a reordering of `loop` (interchange, unroll-and-jam) may treat
+/// as private to each iteration: privatizable_scalars of `loop`'s body or
+/// of a loop nested in it, kept only when every reference under `root`
+/// lies inside `loop` and inside a loop body that defines the scalar
+/// before using it.  A reference outside `loop` would observe the
+/// reordered last value; one outside every defining body would read a
+/// value carried in from an earlier iteration.
+[[nodiscard]] std::set<std::string> private_scalars(ir::StmtList& root,
+                                                    ir::Loop& loop);
+
 }  // namespace blk::analysis

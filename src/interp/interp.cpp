@@ -1,5 +1,6 @@
 #include "interp/interp.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <random>
@@ -19,10 +20,9 @@ Tensor::Tensor(std::vector<long> lower, std::vector<long> upper,
   std::size_t total = 1;
   stride_.resize(lower_.size());
   for (std::size_t d = 0; d < lower_.size(); ++d) {
-    if (upper_[d] < lower_[d])
-      throw Error("Tensor: empty dimension " + std::to_string(d));
     stride_[d] = total;
-    total *= static_cast<std::size_t>(upper_[d] - lower_[d] + 1);
+    total *= static_cast<std::size_t>(
+        std::max(upper_[d] - lower_[d] + 1, 0L));
   }
   data_.assign(total, 0.0);
 }

@@ -20,6 +20,8 @@
 namespace blk::interp {
 
 /// Dense Fortran-layout (column-major) array with per-dimension lower bounds.
+/// A dimension with upper < lower has extent zero, as in Fortran: the array
+/// holds no elements and every access throws.
 class Tensor {
  public:
   Tensor() = default;

@@ -691,7 +691,7 @@ std::string emit_c(const Program& p, const std::string& fn_name,
   for (const auto& [name, decl] : p.arrays()) {
     if (!first) os << ", ";
     first = false;
-    os << "double* " << name << "_buf";
+    os << "double* restrict " << name << "_buf";
   }
   if (opts.scalar_io) {
     if (!first) os << ", ";

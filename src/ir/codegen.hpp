@@ -84,13 +84,15 @@ struct EmitOptions {
 
 /// Emit `p` as a standalone C99 translation unit defining
 ///
-///   void <fn_name>(<long params...>, <double* arrays...>);
+///   void <fn_name>(<long params...>, <double* restrict arrays...>);
 ///
 /// Parameters appear in declaration order, arrays in name order (each
 /// passed as a flat column-major buffer whose extent matches the declared
-/// dimensions).  Scalars become local doubles; integer-valued scalars used
-/// as subscripts are truncated with (long) casts, matching the
-/// interpreter's semantics.  The unit is self-contained (includes math.h
+/// dimensions).  Distinct IR arrays never overlap (Fortran's rule for
+/// distinct arrays), so every caller passes a separate buffer per array
+/// and the parameters are `restrict`.  Scalars become local doubles;
+/// integer-valued scalars used as subscripts are truncated with (long)
+/// casts, matching the interpreter's semantics.  The unit is self-contained (includes math.h
 /// and defines MIN/MAX/floor-division helpers).
 [[nodiscard]] std::string emit_c(const Program& p,
                                  const std::string& fn_name,

@@ -211,6 +211,23 @@ void substitute_index_in_list(StmtList& body, const std::string& name,
   }
 }
 
+void rename_scalar(StmtList& body, const std::string& from,
+                   const std::string& to) {
+  substitute_index_in_list(body, from, ivar(to));
+  const VExprPtr ref = vscalar(to);
+  for_each_stmt(body, [&](Stmt& s) {
+    if (s.kind() == SKind::Assign) {
+      Assign& a = s.as_assign();
+      a.rhs = substitute_scalar(a.rhs, from, ref);
+      if (!a.lhs.is_array() && a.lhs.name == from) a.lhs.name = to;
+    } else if (s.kind() == SKind::If) {
+      If& f = s.as_if();
+      f.cond.lhs = substitute_scalar(f.cond.lhs, from, ref);
+      f.cond.rhs = substitute_scalar(f.cond.rhs, from, ref);
+    }
+  });
+}
+
 void rename_loop_var(Loop& loop, const std::string& fresh) {
   if (loop.var == fresh) return;
   substitute_index_in_list(loop.body, loop.var, ivar(fresh));

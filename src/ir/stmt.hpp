@@ -151,4 +151,9 @@ void rename_loop_var(Loop& loop, const std::string& fresh);
 void substitute_index_in_list(StmtList& body, const std::string& name,
                               const IExprPtr& replacement);
 
+/// Rename scalar `from` to `to` in every read, write and index use in
+/// `body`.
+void rename_scalar(StmtList& body, const std::string& from,
+                   const std::string& to);
+
 }  // namespace blk::ir

@@ -1,7 +1,9 @@
 // §4 guarded matrix multiply (the SGEMM kernel with a zero-skip guard) in
-// three forms: the original, naive unroll-and-jam with the guard pushed
-// into the innermost loop (the paper's negative result), and
-// IF-inspection + unroll-and-jam (the paper's positive result).
+// two hand forms: the original, a test reference, and naive unroll-and-
+// jam with the guard pushed into the innermost loop (the paper's negative
+// result, a transformation the compiler refuses).  The positive result,
+// IF-inspection + unroll-and-jam, is the compiler's derivation of
+// kernels::matmul_guarded_ir().
 #pragma once
 
 #include "kernels/matrix.hpp"
@@ -24,9 +26,5 @@ void matmul_guarded(const Matrix& a, const Matrix& b, Matrix& c);
 /// Unroll-and-jam of K by 4 with the guard replicated inside the innermost
 /// loop — correct but slow (the paper's "UJ" column).
 void matmul_uj_guard_inside(const Matrix& a, const Matrix& b, Matrix& c);
-
-/// IF-inspection of the K loop, then unroll-and-jam by 4 inside each
-/// recorded range with no guards (the paper's "UJ+IF" column).
-void matmul_uj_ifinspect(const Matrix& a, const Matrix& b, Matrix& c);
 
 }  // namespace blk::kernels

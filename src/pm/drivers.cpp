@@ -99,10 +99,10 @@ RegisterBlockResult step_register_block(PipelineContext& ctx,
     Loop& loop = *loops[i];
     try {
       if (transform::triangular_nest(loop))
-        transform::unroll_and_jam_triangular(ctx.prog.body, loop, factor,
+        transform::unroll_and_jam_triangular(ctx.prog, loop, factor,
                                              &ctx.hints);
       else
-        transform::unroll_and_jam(ctx.prog.body, loop, factor, &ctx.hints);
+        transform::unroll_and_jam(ctx.prog, loop, factor, &ctx.hints);
       ++r.jammed;
     } catch (const Error& e) {
       r.refused += "; piece " + std::to_string(i + 1) +
@@ -349,9 +349,9 @@ void optimize_givens_impl(PipelineContext& ctx) {
   ctx.executor = insp.executor;
 
   // 2. Sink the executor's row loop below the update loop: the executor
-  //    (DO J = JLB(JN), JUB(JN)) perfectly nests the K update loop; two
-  //    rectangular interchanges make K outermost of the JN/J pair, and
-  //    ctx.range_loop (in place) is now the K loop.
+  //    (DO J = MAX(JLB(JN),L+1), MIN(JUB(JN),M)) perfectly nests the K
+  //    update loop; two rectangular interchanges make K outermost of the
+  //    JN/J pair, and ctx.range_loop (in place) is now the K loop.
   transform::interchange(p.body, *insp.executor);
   transform::interchange(p.body, *insp.range_loop);
   ctx.interchanges += 2;

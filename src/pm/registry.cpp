@@ -231,11 +231,10 @@ Registry::Registry() {
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
          long u = inv.int_or("u", kDefaultUnroll);
          if (inv.flag("triangular"))
-           transform::unroll_and_jam_triangular(ctx.prog.body, ctx.target(),
-                                                u, &ctx.hints);
+           transform::unroll_and_jam_triangular(ctx.prog, ctx.target(), u,
+                                                &ctx.hints);
          else
-           transform::unroll_and_jam(ctx.prog.body, ctx.target(), u,
-                                     &ctx.hints);
+           transform::unroll_and_jam(ctx.prog, ctx.target(), u, &ctx.hints);
        }});
 
   add({.name = "scalarrepl",

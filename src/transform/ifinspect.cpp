@@ -221,33 +221,7 @@ IfInspectResult if_inspect_auto(Program& p, StmtList& root, Loop& loop) {
       std::string fresh = r.array + "P";
       while (p.has_scalar(fresh) || p.has_array(fresh)) fresh += "P";
       p.scalar(fresh);
-      std::function<void(StmtList&)> rename = [&](StmtList& body) {
-        for (auto& s : body) {
-          switch (s->kind()) {
-            case SKind::Assign: {
-              Assign& a2 = s->as_assign();
-              a2.rhs = substitute_scalar(a2.rhs, r.array, vscalar(fresh));
-              if (!a2.lhs.is_array() && a2.lhs.name == r.array)
-                a2.lhs.name = fresh;
-              break;
-            }
-            case SKind::Loop:
-              rename(s->as_loop().body);
-              break;
-            case SKind::If: {
-              If& f = s->as_if();
-              f.cond.lhs = substitute_scalar(f.cond.lhs, r.array,
-                                             vscalar(fresh));
-              f.cond.rhs = substitute_scalar(f.cond.rhs, r.array,
-                                             vscalar(fresh));
-              rename(f.then_body);
-              rename(f.else_body);
-              break;
-            }
-          }
-        }
-      };
-      rename(work->as_loop().body);
+      rename_scalar(work->as_loop().body, r.array, fresh);
     }
   }
 
@@ -383,12 +357,15 @@ IfInspectResult if_inspect(Program& p, StmtList& root, Loop& loop) {
                 std::move(body)));
   }
 
-  // Executor: DO KN = 1, KC / DO K = KLB(KN), KUB(KN) / <work>.
+  // Executor: DO KN = 1, KC / DO K = MAX(KLB(KN),lb), MIN(KUB(KN),ub) /
+  // <work>.  Every recorded range lies inside [lb, ub], so the clamp runs
+  // the same iterations; it shows the analyses that K stays in range.
   StmtList exec_k_body;
   exec_k_body.push_back(std::move(work));
   StmtPtr exec_k =
-      make_loop(v, ielem(lb_arr, ivar(range_var)),
-                ielem(ub_arr, ivar(range_var)), std::move(exec_k_body));
+      make_loop(v, imax(ielem(lb_arr, ivar(range_var)), loop.lb),
+                imin(ielem(ub_arr, ivar(range_var)), loop.ub),
+                std::move(exec_k_body));
   Loop* exec_k_ptr = &exec_k->as_loop();
   StmtList exec_body;
   exec_body.push_back(std::move(exec_k));

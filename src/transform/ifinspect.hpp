@@ -12,7 +12,7 @@ namespace blk::transform {
 struct IfInspectResult {
   ir::Loop* inspector = nullptr;  ///< the loop that records ranges
   ir::Loop* range_loop = nullptr; ///< DO KN = 1, KC over recorded ranges
-  ir::Loop* executor = nullptr;   ///< DO K = KLB(KN), KUB(KN) work loop
+  ir::Loop* executor = nullptr;   ///< DO K = MAX(KLB(KN),lb), ... work loop
 };
 
 /// Transform
@@ -31,7 +31,7 @@ struct IfInspectResult {
 ///       IF (FLAG) THEN  KUB(KC) = K-1 ; FLAG = .FALSE.
 ///   IF (FLAG) THEN  KUB(KC) = ub ; FLAG = .FALSE.
 ///   DO KN = 1, KC                 ! executor
-///     DO K = KLB(KN), KUB(KN)
+///     DO K = MAX(KLB(KN),lb), MIN(KUB(KN),ub)
 ///       <work>
 ///
 /// `loop`'s body must be exactly one IF with no ELSE branch.  The guard

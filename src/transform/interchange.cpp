@@ -1,7 +1,5 @@
 #include "transform/interchange.hpp"
 
-#include <algorithm>
-
 #include <set>
 
 #include "analysis/ddtest.hpp"
@@ -29,29 +27,10 @@ bool interchange_legal(StmtList& root, Loop& outer,
     return false;
   Loop& inner = outer.body[0]->as_loop();
 
-  // Per-iteration temporaries (def-before-use scalars of the innermost
-  // bodies) carry only register-reuse dependences; reordering may ignore
-  // them because every iteration can take a private copy.
-  std::set<std::string> priv;
-  for_each_stmt(inner.body, [&](Stmt& s) {
-    if (s.kind() == SKind::Loop)
-      for (const auto& name :
-           analysis::privatizable_scalars(s.as_loop().body))
-        priv.insert(name);
-  });
-  for (const auto& name : analysis::privatizable_scalars(inner.body))
-    priv.insert(name);
-  // Privatization is only sound when the scalar is not live outside the
-  // nest: a reference beyond `outer` would observe the (reordered) last
-  // value.  Drop any candidate referenced outside.
-  if (!priv.empty()) {
-    for (const analysis::RefInfo& r : analysis::collect_refs(root)) {
-      if (r.subs.empty() && priv.contains(r.array) &&
-          std::find(r.loops.begin(), r.loops.end(), &outer) ==
-              r.loops.end())
-        priv.erase(r.array);
-    }
-  }
+  // Per-iteration temporaries carry only register-reuse dependences;
+  // reordering may ignore them because every iteration can take a private
+  // copy.
+  const std::set<std::string> priv = analysis::private_scalars(root, outer);
 
   auto deps = analysis::all_dependences(root, {.ctx = ctx});
   for (const auto& d : deps) {

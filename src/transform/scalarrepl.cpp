@@ -1,8 +1,8 @@
 #include "transform/scalarrepl.hpp"
 
 #include <algorithm>
-
 #include <map>
+#include <set>
 
 #include "analysis/refs.hpp"
 #include "analysis/sections.hpp"
@@ -48,6 +48,21 @@ LoopLocation locate(StmtList& root, const Loop& loop) {
   for (const auto& sub : r.subs)
     if (mentions(*sub, var)) return true;
   return false;
+}
+
+/// Does `e` read a name in `names`, as a variable or as an index array?
+[[nodiscard]] bool reads_any(const IExpr& e,
+                             const std::set<std::string>& names) {
+  switch (e.kind) {
+    case IKind::Const:
+      return false;
+    case IKind::Var:
+      return names.contains(e.name);
+    case IKind::ArrayElem:
+      return names.contains(e.name) || reads_any(*e.lhs, names);
+    default:
+      return reads_any(*e.lhs, names) || reads_any(*e.rhs, names);
+  }
 }
 
 [[nodiscard]] bool same_subs(const std::vector<IExprPtr>& a,
@@ -128,6 +143,11 @@ int scalar_replace(Program& p, StmtList& root, Loop& loop,
   });
 
   std::vector<RefInfo> refs = analysis::collect_refs(loop.body);
+  // A subscript reading a scalar or an index array the loop writes (an
+  // inspector's JLB(JC), with JC counting up) varies like a loop variable.
+  std::set<std::string> written;
+  for (const RefInfo& r : refs)
+    if (r.is_write) written.insert(r.array);
 
   // Candidate groups: invariant array references, keyed by identical subs.
   struct Group {
@@ -140,7 +160,8 @@ int scalar_replace(Program& p, StmtList& root, Loop& loop,
     if (r.is_scalar()) continue;
     bool invariant = true;
     for (const auto& sub : r.subs) {
-      if (mentions(*sub, loop.var)) invariant = false;
+      if (mentions(*sub, loop.var) || reads_any(*sub, written))
+        invariant = false;
       for (const Loop* inner : r.loops)
         if (mentions(*sub, inner->var)) invariant = false;
     }

@@ -1,8 +1,10 @@
 #include "transform/unrolljam.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "analysis/ddtest.hpp"
+#include "analysis/refs.hpp"
 #include "ir/affine.hpp"
 #include "ir/error.hpp"
 #include "transform/instrument.hpp"
@@ -102,15 +104,29 @@ StmtList jam(std::vector<StmtList> copies) {
   return out;
 }
 
-/// Unrolled copies of `body` with `var` shifted by 0..factor-1.
-std::vector<StmtList> make_copies(const StmtList& body,
-                                  const std::string& var, long factor) {
+/// Unrolled copies of `body` with `var` shifted by 0..factor-1.  Jamming
+/// interleaves the copies' statements, so each copy past the first gets
+/// its own temporary for every scalar in `priv` (analysis::private_scalars
+/// of the jammed loop): shared, one copy would clobber another's value
+/// between its definition and its use.
+std::vector<StmtList> make_copies(Program& p, const StmtList& body,
+                                  const std::string& var, long factor,
+                                  const std::set<std::string>& priv) {
   std::vector<StmtList> copies;
   copies.reserve(static_cast<std::size_t>(factor));
   for (long k = 0; k < factor; ++k) {
     StmtList c = clone_list(body);
-    if (k != 0)
+    if (k != 0) {
       substitute_index_in_list(c, var, iadd(ivar(var), iconst(k)));
+      for (const std::string& name : priv) {
+        std::string fresh = name + std::to_string(k);
+        while (p.has_scalar(fresh) || p.has_array(fresh) ||
+               p.has_param(fresh))
+          fresh += "P";
+        p.temporary(fresh);
+        rename_scalar(c, name, fresh);
+      }
+    }
     copies.push_back(std::move(c));
   }
   return copies;
@@ -146,8 +162,11 @@ bool unroll_and_jam_legal(StmtList& root, Loop& loop, long factor,
   std::erase_if(refs, [&](const analysis::RefInfo& r) {
     return std::ranges::find(r.loops, &loop) == r.loops.end();
   });
+  // The jam gives every copy its own private scalars (make_copies).
+  const std::set<std::string> priv = analysis::private_scalars(root, loop);
   auto deps = analysis::all_dependences(refs, {.ctx = ctx});
   for (const auto& d : deps) {
+    if (d.src.is_scalar() && priv.contains(d.src.array)) continue;
     std::size_t depth = d.src.common_depth(d.dst);
     std::optional<std::size_t> pos;
     for (std::size_t i = 0; i < depth; ++i)
@@ -171,8 +190,9 @@ bool unroll_and_jam_legal(StmtList& root, Loop& loop, long factor,
   return true;
 }
 
-void unroll_and_jam(StmtList& root, Loop& loop, long factor,
+void unroll_and_jam(Program& p, Loop& loop, long factor,
                     const Assumptions* ctx, bool check) {
+  StmtList& root = p.body;
   PassScope scope("unroll-and-jam", root);
   if (factor < 2) throw Error("unroll_and_jam: factor must be >= 2");
   if (!(loop.step->kind == IKind::Const && loop.step->value == 1))
@@ -185,7 +205,8 @@ void unroll_and_jam(StmtList& root, Loop& loop, long factor,
   IExprPtr orig_ub = loop.ub;
   StmtList pristine = clone_list(loop.body);
 
-  loop.body = jam(make_copies(loop.body, loop.var, factor));
+  loop.body = jam(make_copies(p, loop.body, loop.var, factor,
+                              analysis::private_scalars(root, loop)));
   loop.ub = simplify(isub(loop.ub, iconst(factor - 1)));
   loop.step = iconst(factor);
   add_remainder(*loc.parent, loc.index, loop, std::move(orig_lb),
@@ -206,8 +227,9 @@ bool triangular_nest(const Loop& loop) {
   return tracks(inner.lb, inner.ub) || tracks(inner.ub, inner.lb);
 }
 
-void unroll_and_jam_triangular(StmtList& root, Loop& loop, long factor,
+void unroll_and_jam_triangular(Program& p, Loop& loop, long factor,
                                const Assumptions* ctx, bool check) {
+  StmtList& root = p.body;
   PassScope scope("unroll-and-jam-triangular", root);
   if (factor < 2)
     throw Error("unroll_and_jam_triangular: factor must be >= 2");
@@ -239,6 +261,7 @@ void unroll_and_jam_triangular(StmtList& root, Loop& loop, long factor,
   IExprPtr orig_lb = loop.lb;
   IExprPtr orig_ub = loop.ub;
   std::string jvar = inner.var;
+  const std::set<std::string> priv = analysis::private_scalars(root, loop);
   StmtList pristine = clone_list(loop.body);
   StmtList inner_body = std::move(inner.body);
 
@@ -246,7 +269,7 @@ void unroll_and_jam_triangular(StmtList& root, Loop& loop, long factor,
   // ascending J order across the two parts.
   StmtList ragged_body = clone_list(inner_body);
   substitute_index_in_list(ragged_body, i, ivar(it));
-  StmtList rect_body = jam(make_copies(inner_body, i, factor));
+  StmtList rect_body = jam(make_copies(p, inner_body, i, factor, priv));
   StmtList ragged;
   loop.body.clear();
   if (lower) {

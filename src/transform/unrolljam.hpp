@@ -17,10 +17,12 @@ namespace blk::transform {
 /// Jamming merges the unrolled copies position-by-position: assignments
 /// concatenate in unroll order; loops whose bounds are provably identical
 /// across copies fuse into one loop with concatenated bodies (recursively).
+/// Each copy past the first gets its own compiler temporary for every
+/// scalar private to the loop's iterations (analysis::private_scalars).
 /// Throws blk::Error when the loop body's inner-loop bounds depend on the
 /// unrolled variable (use unroll_and_jam_triangular) or when dependences
 /// forbid the jam.
-void unroll_and_jam(ir::StmtList& root, ir::Loop& loop, long factor,
+void unroll_and_jam(ir::Program& p, ir::Loop& loop, long factor,
                     const analysis::Assumptions* ctx = nullptr,
                     bool check = true);
 
@@ -48,7 +50,7 @@ void unroll_and_jam(ir::StmtList& root, ir::Loop& loop, long factor,
 ///
 /// Every copy still visits its J values in ascending order, so a jam the
 /// legality test admits reorders no reduction.
-void unroll_and_jam_triangular(ir::StmtList& root, ir::Loop& loop,
+void unroll_and_jam_triangular(ir::Program& p, ir::Loop& loop,
                                long factor,
                                const analysis::Assumptions* ctx = nullptr,
                                bool check = true);
@@ -62,6 +64,8 @@ void unroll_and_jam_triangular(ir::StmtList& root, ir::Loop& loop,
 ///   * has a (<,>) pattern against an inner loop, or
 ///   * runs from a textually later statement back to an earlier one at a
 ///     carried distance smaller than `factor` (the reordered window).
+/// Dependences on private scalars do not count: the jam renames them per
+/// copy.
 [[nodiscard]] bool unroll_and_jam_legal(ir::StmtList& root, ir::Loop& loop,
                                         long factor,
                                         const analysis::Assumptions* ctx =

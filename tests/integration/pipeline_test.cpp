@@ -62,7 +62,7 @@ TEST(Pipeline, ConvTrapezoidSplitThenNormalizeThenJam) {
   // Piece 1 is rhomboidal (K = I .. I+N2): normalize K, then jam I.
   Loop& rhomboid = *loops[0];
   transform::normalize_loop(p.body, rhomboid.body[0]->as_loop());
-  transform::unroll_and_jam(p.body, rhomboid, 4);
+  transform::unroll_and_jam(p, rhomboid, 4);
   for (long size : {10L, 33L, 60L}) {
     ir::Env env{{"N1", size - 1}, {"N2", 6 * (size - 1) / 7},
                 {"N3", size - 1}};
@@ -114,7 +114,7 @@ TEST(Pipeline, MatmulIfInspectThenJamExecutor) {
   Program orig = p.clone();
   Loop& k = p.body[0]->as_loop().body[0]->as_loop();
   auto res = transform::if_inspect(p, p.body, k);
-  transform::unroll_and_jam(p.body, res.executor->body[0]->as_loop(), 2,
+  transform::unroll_and_jam(p, res.executor->body[0]->as_loop(), 2,
                             nullptr, /*check=*/false);
   for (long n : {7L, 16L}) {
     interp::Interpreter ia(orig, {{"N", n}});

@@ -43,8 +43,14 @@ TEST(Tensor, BoundsChecked) {
   EXPECT_THROW((void)t.at(wrong_rank), Error);
 }
 
-TEST(Tensor, EmptyDimensionRejected) {
-  EXPECT_THROW(Tensor({2}, {1}, 0), Error);
+TEST(Tensor, EmptyDimensionHoldsNoElements) {
+  // Fortran's rule: X(2:1) has extent zero, so any access is out of range.
+  Tensor t({2, 1}, {1, 3}, 0);
+  EXPECT_EQ(t.size(), 0u);
+  for (long i : {0L, 1L, 2L}) {
+    std::vector<long> idx{i, 1};
+    EXPECT_THROW((void)t.at(idx), Error) << i;
+  }
 }
 
 Program triangular_sum() {

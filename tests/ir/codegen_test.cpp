@@ -28,7 +28,7 @@ using namespace blk::ir::dsl;
 TEST(Codegen, SignatureAndMacros) {
   Program p = blk::kernels::lu_point_ir();
   std::string c = emit_c(p, "lu_point");
-  EXPECT_NE(c.find("void lu_point(long N, double* A_buf)"),
+  EXPECT_NE(c.find("void lu_point(long N, double* restrict A_buf)"),
             std::string::npos)
       << c;
   // Column-major macro with 1-based lower bounds folded in.

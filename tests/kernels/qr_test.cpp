@@ -1,13 +1,19 @@
-// QR tests: the Givens kernels (§5.4, table T5) and the Householder
-// programs (§5.3): the point algorithm tools/examples/householder.f and its
-// compact-WY BLOCK DO form householder_wy.f, which a compiler cannot derive
-// from it (§6).
+// QR tests: the Givens programs (§5.4, table T5) — the point algorithm
+// givens_qr_ir() and the compiler's Fig. 10 derivation of it, register-
+// blocked as bench_paper's T5 "+" row — and the Householder programs
+// (§5.3): the point algorithm tools/examples/householder.f and its
+// compact-WY BLOCK DO form householder_wy.f, which a compiler cannot
+// derive from it (§6).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
-#include "kernels/qr_givens.hpp"
+#include "kernels/ir_kernels.hpp"
+#include "kernels/matrix.hpp"
+#include "native/engine.hpp"
+#include "pm/runner.hpp"
 #include "testutil.hpp"
 
 namespace blk::kernels {
@@ -32,6 +38,20 @@ double qr_gram_residual(const Matrix& factored, const Matrix& a0) {
   return worst / static_cast<double>(n);
 }
 
+/// Run the program `p` on the M x N matrix `a` in place (M, N bound to its
+/// shape).
+void run_on(const ir::Program& p, Matrix& a,
+            interp::Engine engine = interp::Engine::Vm) {
+  interp::ExecEngine e(p,
+                       {{"M", static_cast<long>(a.rows())},
+                        {"N", static_cast<long>(a.cols())}},
+                       engine);
+  std::span<double> flat = e.store().arrays.at("A").flat();
+  std::ranges::copy(a.flat(), flat.begin());
+  e.run();
+  std::ranges::copy(flat, a.flat().begin());
+}
+
 /// Factor `a` in place with tools/examples/`file` on the VM, the BLOCK DO
 /// factor BS_K bound to `ks`; returns TAU.  R is on and above the
 /// diagonal, the reflectors below it.
@@ -49,6 +69,24 @@ std::vector<double> householder(const std::string& file, Matrix& a,
   return {tau.begin(), tau.end()};
 }
 
+/// bench_paper's T5 "+" row: Fig. 10 with K unroll-and-jammed by 4 and
+/// A(L,K) scalar-replaced across each recorded J range.  Derived once: M
+/// and N stay symbolic, so one native compile serves every shape.
+const ir::Program& derived_givens() {
+  static const ir::Program p = [] {
+    ir::Program q = givens_qr_ir();
+    (void)pm::run_spec(q,
+                       "optgivens; focus(var=K, index=1); registerblock(u=4)");
+    return q;
+  }();
+  return p;
+}
+
+bool bitwise_equal(const Matrix& x, const Matrix& y) {
+  return std::memcmp(x.flat().data(), y.flat().data(),
+                     x.flat().size_bytes()) == 0;
+}
+
 class GivensShapes
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
 };
@@ -58,12 +96,15 @@ TEST_P(GivensShapes, OptimizedMatchesPoint) {
   Matrix a0(m, n);
   fill_random(a0, 71);
   Matrix p = a0, o = a0;
-  givens_qr_point(p);
-  givens_qr_opt(o);
-  // Identical rotation sequence => identical R (up to roundoff noise from
-  // the different accumulation orders in row L).
-  EXPECT_LE(givens_residual(o, p), 1e-10)
-      << "m=" << m << " n=" << n;
+  run_on(givens_qr_ir(), p);
+  run_on(derived_givens(), o);
+  // The same rotations in the same order per element: bitwise equal R.
+  EXPECT_TRUE(bitwise_equal(o, p)) << "VM, m=" << m << " n=" << n;
+  if (native::available()) {
+    Matrix nat = a0;
+    run_on(derived_givens(), nat, interp::Engine::Native);
+    EXPECT_TRUE(bitwise_equal(nat, p)) << "native, m=" << m << " n=" << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -75,18 +116,15 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{16}, std::size_t{32})));
 
 TEST(Givens, ZerosBelowDiagonal) {
-  Matrix a(20, 12);
-  fill_random(a, 72);
-  givens_qr_point(a);
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t i = j + 1; i < a.rows(); ++i)
-      EXPECT_NEAR(a(i, j), 0.0, 1e-12) << i << "," << j;
-  Matrix b(20, 12);
-  fill_random(b, 72);
-  givens_qr_opt(b);
-  for (std::size_t j = 0; j < b.cols(); ++j)
-    for (std::size_t i = j + 1; i < b.rows(); ++i)
-      EXPECT_NEAR(b(i, j), 0.0, 1e-12);
+  const ir::Program point = givens_qr_ir();
+  for (const ir::Program* prog : {&point, &derived_givens()}) {
+    Matrix a(20, 12);
+    fill_random(a, 72);
+    run_on(*prog, a);
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      for (std::size_t i = j + 1; i < a.rows(); ++i)
+        EXPECT_NEAR(a(i, j), 0.0, 1e-12) << i << "," << j;
+  }
 }
 
 TEST(Givens, PreservesColumnGram) {
@@ -94,20 +132,20 @@ TEST(Givens, PreservesColumnGram) {
   Matrix a0(24, 10);
   fill_random(a0, 73);
   Matrix r = a0;
-  givens_qr_opt(r);
+  run_on(derived_givens(), r);
   EXPECT_LE(qr_gram_residual(r, a0), 1e-10);
 }
 
 TEST(Givens, SparseColumnSkipsRotations) {
-  // Zeros below the diagonal in column 0: the guard must skip them and the
-  // result must equal the dense path's (which sees the same zeros).
+  // Zeros below the diagonal in column 0: the guard must skip them, and
+  // the inspector's ranges must cover exactly the rotations that ran.
   Matrix a(16, 8);
   fill_random(a, 74);
   for (std::size_t i = 1; i < 16; i += 2) a(i, 0) = 0.0;
   Matrix b = a;
-  givens_qr_point(a);
-  givens_qr_opt(b);
-  EXPECT_LE(givens_residual(b, a), 1e-11);
+  run_on(givens_qr_ir(), a);
+  run_on(derived_givens(), b);
+  EXPECT_TRUE(bitwise_equal(b, a));
 }
 
 class HouseholderShapes

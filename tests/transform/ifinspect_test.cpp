@@ -39,8 +39,9 @@ TEST(IfInspect, MatmulStructureMatchesFig4) {
   ASSERT_EQ(j.body.size(), 5u);
   EXPECT_EQ(res.range_loop->var, "KN");
   EXPECT_EQ(to_string(res.range_loop->ub), "KC");
-  EXPECT_EQ(to_string(res.executor->lb), "KLB(KN)");
-  EXPECT_EQ(to_string(res.executor->ub), "KUB(KN)");
+  // Clamped to the inspected loop's range, which holds every record.
+  EXPECT_EQ(to_string(res.executor->lb), "MAX(KLB(KN),1)");
+  EXPECT_EQ(to_string(res.executor->ub), "MIN(KUB(KN),N)");
   // The work (inner I loop) moved into the executor.
   ASSERT_EQ(res.executor->body.size(), 1u);
   EXPECT_EQ(res.executor->body[0]->as_loop().var, "I");

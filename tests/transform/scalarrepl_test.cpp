@@ -108,6 +108,39 @@ TEST(ScalarReplace, AllowsProvablyDisjointRefs) {
   }
 }
 
+TEST(ScalarReplace, SubscriptScalarWrittenInTheLoopVaries) {
+  // JC = 1 / DO I = 1, N / X(JC) = X(JC) + 1.0 / JC = JC + 1: X(JC) names
+  // a new element every iteration.  Hoisting it would store X(N+1).
+  Program p;
+  p.param("N");
+  p.array("X", {v("N")});
+  p.scalar("JC");
+  p.add(assign(lvs("JC"), f(1.0)));
+  p.add(loop("I", c(1), v("N"),
+             assign(lv("X", {v("JC")}), a("X", {v("JC")}) + f(1.0)),
+             assign(lvs("JC"), s("JC") + f(1.0))));
+  Program q = p.clone();
+  EXPECT_EQ(scalar_replace(q, q.body, q.body[1]->as_loop()), 0)
+      << print(q.body);
+  EXPECT_PROGRAMS_EQUIVALENT(p, q, (ir::Env{{"N", 5}}), 47);
+}
+
+TEST(ScalarReplace, IndexArrayWrittenInTheLoopVaries) {
+  // The inspector's shape: JLB(JC) = J with JC counting up.
+  Program p;
+  p.param("N");
+  p.array("JLB", {v("N")});
+  p.array("X", {v("N")});
+  p.scalar("JC");
+  p.add(loop("J", c(1), v("N"),
+             assign(lvs("JC"), s("JC") + f(1.0)),
+             assign(lv("JLB", {v("JC")}), vindex(v("J"))),
+             assign(lv("X", {ielem("JLB", v("JC"))}), f(2.0))));
+  Program q = p.clone();
+  EXPECT_EQ(scalar_replace(q, q.body, q.body[0]->as_loop()), 0)
+      << print(q.body);
+}
+
 TEST(ScalarReplace, MultipleGroups) {
   // Two invariant elements in the same loop.
   Program p;

@@ -33,7 +33,7 @@ Program rect_nest() {
 
 TEST(UnrollJam, RectangularStructure) {
   Program p = rect_nest();
-  unroll_and_jam(p.body, p.body[0]->as_loop(), 2);
+  unroll_and_jam(p, p.body[0]->as_loop(), 2);
   ASSERT_EQ(p.body.size(), 2u);  // main + remainder
   Loop& main = p.body[0]->as_loop();
   EXPECT_EQ(main.const_step(), 2);
@@ -55,7 +55,7 @@ TEST_P(UnrollJamEquivalence, RectangularSemantics) {
   auto [n, factor] = GetParam();
   Program p = rect_nest();
   Program q = p.clone();
-  unroll_and_jam(q.body, q.body[0]->as_loop(), factor);
+  unroll_and_jam(q, q.body[0]->as_loop(), factor);
   EXPECT_PROGRAMS_EQUIVALENT(p, q, (ir::Env{{"N", n}, {"M", 6}}), 31);
 }
 
@@ -66,8 +66,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(UnrollJam, RequiresFactorAtLeastTwo) {
   Program p = rect_nest();
-  EXPECT_THROW(unroll_and_jam(p.body, p.body[0]->as_loop(), 1),
-               blk::Error);
+  EXPECT_THROW(unroll_and_jam(p, p.body[0]->as_loop(), 1), blk::Error);
 }
 
 TEST(UnrollJam, RejectsTriangularInnerBound) {
@@ -78,8 +77,7 @@ TEST(UnrollJam, RejectsTriangularInnerBound) {
   p.add(loop("J", c(1), v("N"),
              loop("I", v("J"), v("N"),
                   assign(lv("A", {v("J"), v("I")}), f(1.0)))));
-  EXPECT_THROW(unroll_and_jam(p.body, p.body[0]->as_loop(), 2),
-               blk::Error);
+  EXPECT_THROW(unroll_and_jam(p, p.body[0]->as_loop(), 2), blk::Error);
 }
 
 TEST(UnrollJam, IllegalJamDetected) {
@@ -93,8 +91,50 @@ TEST(UnrollJam, IllegalJamDetected) {
                   assign(lv("A", {v("I"), v("J")}),
                          a("A", {v("I") - 1, v("J") + 1})))));
   EXPECT_FALSE(unroll_and_jam_legal(p.body, p.body[0]->as_loop(), 2));
-  EXPECT_THROW(unroll_and_jam(p.body, p.body[0]->as_loop(), 2),
-               blk::Error);
+  EXPECT_THROW(unroll_and_jam(p, p.body[0]->as_loop(), 2), blk::Error);
+}
+
+/// DO K / DO J / T = A(J,K); A(J,K) = CX(J)*T: T is defined before use in
+/// every J iteration, the shape of Fig. 10's rotation temporaries.
+Program private_temp_nest() {
+  Program p;
+  p.param("N");
+  p.param("M");
+  p.array("A", {v("M"), v("N")});
+  p.array("CX", {v("M")});
+  p.scalar("T");
+  p.add(loop("K", c(1), v("N"),
+             loop("J", c(1), v("M"),
+                  assign(lvs("T"), a("A", {v("J"), v("K")})),
+                  assign(lv("A", {v("J"), v("K")}),
+                         a("CX", {v("J")}) * s("T")))));
+  return p;
+}
+
+TEST(UnrollJam, PrivateScalarsGetATemporaryPerCopy) {
+  Program p = private_temp_nest();
+  Program q = p.clone();
+  EXPECT_TRUE(unroll_and_jam_legal(q.body, q.body[0]->as_loop(), 4));
+  unroll_and_jam(q, q.body[0]->as_loop(), 4);
+  const std::string out = print(q.body[0]->as_loop().body);
+  for (const char* copy : {"T = A(J,K)", "T1 = A(J,K+1)", "T2 = A(J,K+2)",
+                           "T3 = A(J,K+3)", "A(J,K+3) = CX(J)*T3"})
+    EXPECT_NE(out.find(copy), std::string::npos) << copy << "\n" << out;
+  for (const char* t : {"T1", "T2", "T3"}) EXPECT_TRUE(q.is_temporary(t));
+  for (long n : {1L, 3L, 4L, 7L})
+    EXPECT_PROGRAMS_EQUIVALENT(p, q, (ir::Env{{"N", n}, {"M", 5}}), 35);
+}
+
+TEST(UnrollJam, UpwardExposedScalarIsNotPrivate) {
+  // B(K) reads the T the previous K iteration's J loop left behind: no
+  // copy may take its own T, and the shared one forbids the jam.
+  Program p = private_temp_nest();
+  p.array("B", {v("N")});
+  Loop& k = p.body[0]->as_loop();
+  k.body.insert(k.body.begin(), make_assign({.name = "B", .subs = {ivar("K")}},
+                                            vscalar("T")));
+  EXPECT_FALSE(unroll_and_jam_legal(p.body, k, 2));
+  EXPECT_THROW(unroll_and_jam(p, k, 2), blk::Error);
 }
 
 /// Triangular nest: DO I / DO J = I, M, the §3.1 shape.
@@ -113,7 +153,7 @@ Program tri_nest() {
 
 TEST(UnrollJamTriangular, Structure) {
   Program p = tri_nest();
-  unroll_and_jam_triangular(p.body, p.body[0]->as_loop(), 4);
+  unroll_and_jam_triangular(p, p.body[0]->as_loop(), 4);
   ASSERT_EQ(p.body.size(), 2u);
   Loop& main = p.body[0]->as_loop();
   EXPECT_EQ(main.const_step(), 4);
@@ -145,7 +185,7 @@ Program upper_tri_nest() {
 
 TEST(UnrollJamTriangular, UpperBoundStructure) {
   Program p = upper_tri_nest();
-  unroll_and_jam_triangular(p.body, p.body[0]->as_loop(), 4);
+  unroll_and_jam_triangular(p, p.body[0]->as_loop(), 4);
   ASSERT_EQ(p.body.size(), 2u);
   Loop& main = p.body[0]->as_loop();
   ASSERT_EQ(main.body.size(), 2u);  // rectangular part + triangular tail
@@ -167,7 +207,7 @@ TEST_P(TriangularUJEquivalence, Semantics) {
   for (Program (*nest)() : {tri_nest, upper_tri_nest}) {
     Program p = nest();
     Program q = p.clone();
-    unroll_and_jam_triangular(q.body, q.body[0]->as_loop(), factor);
+    unroll_and_jam_triangular(q, q.body[0]->as_loop(), factor);
     EXPECT_PROGRAMS_EQUIVALENT(p, q, (ir::Env{{"N", n}, {"M", m}}), 32);
   }
 }
@@ -188,7 +228,7 @@ TEST(UnrollJamTriangular, RequiresUnitSlope) {
              loop("J", imul(c(2), v("I")), v("M"),
                   assign(lv("A", {v("I"), v("J")}), f(1.0)))));
   EXPECT_THROW(
-      unroll_and_jam_triangular(p.body, p.body[0]->as_loop(), 2),
+      unroll_and_jam_triangular(p, p.body[0]->as_loop(), 2),
       blk::Error);
 }
 
@@ -197,7 +237,7 @@ TEST(UnrollJamTriangular, RequiresUnitInnerStep) {
   Program p = tri_nest();
   p.body[0]->as_loop().body[0]->as_loop().step = c(2);
   EXPECT_THROW(
-      unroll_and_jam_triangular(p.body, p.body[0]->as_loop(), 2),
+      unroll_and_jam_triangular(p, p.body[0]->as_loop(), 2),
       blk::Error);
 }
 
@@ -218,7 +258,7 @@ TEST(UnrollJam, NormalizeMakesRhomboidJammable) {
   normalize_loop(q.body, i.body[0]->as_loop());
   EXPECT_EQ(to_string(i.body[0]->as_loop().lb), "0");
   EXPECT_EQ(to_string(i.body[0]->as_loop().ub), "4");
-  unroll_and_jam(q.body, i, 2);
+  unroll_and_jam(q, i, 2);
   for (long n : {1L, 5L, 10L})
     EXPECT_PROGRAMS_EQUIVALENT(p, q, (ir::Env{{"N", n}}), 33);
 }

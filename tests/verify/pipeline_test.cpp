@@ -57,6 +57,17 @@ TEST(VerifiedPipeline, GivensDerivationVerifies) {
   EXPECT_TRUE(vp.ok()) << vp.to_string() << print(p.body);
 }
 
+TEST(VerifiedPipeline, GivensRegisterBlockingVerifies) {
+  // T5's "optgivens+": the K jam privatizes A1P/A2P per copy and scalar
+  // replacement keeps A(L,K) across each recorded J range.
+  Program p = kernels::givens_qr_ir();
+  VerifiedPipeline vp(p);
+  pm::RunReport r = pm::run_spec(
+      p, "optgivens; focus(var=K, index=1); registerblock(u=4)");
+  EXPECT_EQ(r.passes.back().note, "7 scalar groups");
+  EXPECT_TRUE(vp.ok()) << vp.to_string() << print(p.body);
+}
+
 TEST(VerifiedPipeline, MatmulIfInspectionVerifies) {
   // §4: inspector/executor construction on the guarded matmul.
   Program p = kernels::matmul_guarded_ir();
