@@ -63,11 +63,6 @@ class DepGraph {
   /// Procedure IndexSetSplit).
   [[nodiscard]] std::vector<Edge> recurrence_edges() const;
 
-  /// Component index of each node.
-  [[nodiscard]] std::size_t component_of(std::size_t node) const {
-    return comp_of_.at(node);
-  }
-
  private:
   std::vector<ir::Stmt*> nodes_;
   std::vector<Edge> edges_;

@@ -148,14 +148,6 @@ std::vector<RefInfo> collect_refs(ir::StmtList& body) {
   return std::move(c.out);
 }
 
-std::vector<RefInfo> refs_to(const std::vector<RefInfo>& refs,
-                             const std::string& array) {
-  std::vector<RefInfo> out;
-  for (const auto& r : refs)
-    if (r.array == array) out.push_back(r);
-  return out;
-}
-
 std::set<std::string> privatizable_scalars(ir::StmtList& body) {
   std::vector<RefInfo> refs = collect_refs(body);
   // Writes under an IF or inside an inner loop do not dominate the
@@ -165,7 +157,6 @@ std::set<std::string> privatizable_scalars(ir::StmtList& body) {
     if (s->kind() != SKind::Assign) {
       // Any scalar touched inside a nested construct is disqualified
       // (its def may not execute or may interleave with inner reads).
-      StmtList* sub = nullptr;
       if (s->kind() == SKind::Loop) {
         for (RefInfo& r :
              collect_refs(s->as_loop().body))
@@ -177,7 +168,6 @@ std::set<std::string> privatizable_scalars(ir::StmtList& body) {
         for (RefInfo& r : collect_refs(f.else_body))
           if (r.is_scalar()) conditional.insert(r.array);
       }
-      (void)sub;
     }
   }
   std::set<std::string> out;

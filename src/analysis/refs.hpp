@@ -41,10 +41,6 @@ struct RefInfo {
 /// swept up by the same rule; being read-only they never induce edges.
 [[nodiscard]] std::vector<RefInfo> collect_refs(ir::StmtList& body);
 
-/// Subset of `refs` on `array`.
-[[nodiscard]] std::vector<RefInfo> refs_to(const std::vector<RefInfo>& refs,
-                                           const std::string& array);
-
 /// Scalars that are private per iteration of a loop with this `body`:
 /// their first textual access is an unconditional write (def-before-use),
 /// so any loop-carried dependence through them is an artifact of register

@@ -18,20 +18,6 @@ const char* to_string(ReuseKind k) {
   return "?";
 }
 
-std::size_t LoopReuse::none_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(refs.begin(), refs.end(), [](const RefReuse& r) {
-        return r.kind == ReuseKind::None;
-      }));
-}
-
-std::size_t LoopReuse::invariant_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(refs.begin(), refs.end(), [](const RefReuse& r) {
-        return r.kind == ReuseKind::TemporalInvariant;
-      }));
-}
-
 namespace {
 
 /// Classify `ref` against loop variable `var`.
@@ -114,20 +100,6 @@ std::vector<LoopReuse> analyze_reuse(StmtList& body, long line_elements) {
       lr.refs.push_back(classify(r, l->var, line_elements, refs));
     }
     out.push_back(std::move(lr));
-  }
-  return out;
-}
-
-std::vector<const Loop*> blocking_candidates(StmtList& body) {
-  std::vector<const Loop*> out;
-  for (const LoopReuse& lr : analyze_reuse(body)) {
-    // A loop is a blocking candidate when it carries temporal-invariant
-    // references (re-touched every iteration) alongside references that it
-    // actually moves: strip-mining it and sinking the strip loop shrinks
-    // the distance between those invariant touches.
-    if (!lr.refs.empty() && lr.invariant_count() > 0 &&
-        lr.invariant_count() < lr.refs.size())
-      out.push_back(lr.loop);
   }
   return out;
 }

@@ -42,13 +42,6 @@ struct RefReuse {
 struct LoopReuse {
   const ir::Loop* loop = nullptr;
   std::vector<RefReuse> refs;
-
-  /// References gaining nothing from this loop's locality (candidates that
-  /// make the loop a poor innermost choice).
-  [[nodiscard]] std::size_t none_count() const;
-  /// References whose element is re-touched every iteration; blocking an
-  /// *outer* loop keeps their whole working set live (the §2.3 win).
-  [[nodiscard]] std::size_t invariant_count() const;
 };
 
 /// Classify every array reference in `body` against each loop of the nest
@@ -56,12 +49,5 @@ struct LoopReuse {
 /// (lines/strides beyond it don't count as spatial reuse).
 [[nodiscard]] std::vector<LoopReuse> analyze_reuse(ir::StmtList& body,
                                                    long line_elements = 8);
-
-/// The §2.3/§5 decision in one call: loops whose blocking would convert
-/// temporal-invariant reuse of out-of-cache data into in-cache reuse —
-/// i.e. loops that carry invariant references while some *inner* loop
-/// sweeps a large extent.  Returns loops ordered outermost-first.
-[[nodiscard]] std::vector<const ir::Loop*> blocking_candidates(
-    ir::StmtList& body);
 
 }  // namespace blk::analysis

@@ -88,6 +88,17 @@ IExprPtr expand_bound(const IExprPtr& e, const std::string& v,
   return nullptr;
 }
 
+/// Lower/upper bound of `e` as the variable of `l` sweeps its range.  A
+/// negative constant step counts down from lb to ub; a symbolic step's
+/// sign is unknown, so any bound mentioning the variable gives up.
+IExprPtr sweep_loop(const IExprPtr& e, const Loop& l, bool want_lower) {
+  if (l.step->kind != IKind::Const)
+    return mentions(*e, l.var) ? nullptr : e;
+  bool down = l.step->value < 0;
+  return expand_bound(e, l.var, down ? l.ub : l.lb, down ? l.lb : l.ub,
+                      want_lower);
+}
+
 }  // namespace
 
 Section section_of(const RefInfo& ref, std::span<Loop* const> expand) {
@@ -99,10 +110,9 @@ Section section_of(const RefInfo& ref, std::span<Loop* const> expand) {
   // Innermost-to-outermost so that bounds mentioning outer variables are
   // expanded by later iterations.
   for (auto it = expand.rbegin(); it != expand.rend(); ++it) {
-    const Loop* l = *it;
     for (auto& t : s.dims) {
-      if (t.lb) t.lb = expand_bound(t.lb, l->var, l->lb, l->ub, true);
-      if (t.ub) t.ub = expand_bound(t.ub, l->var, l->lb, l->ub, false);
+      if (t.lb) t.lb = sweep_loop(t.lb, **it, true);
+      if (t.ub) t.ub = sweep_loop(t.ub, **it, false);
     }
   }
   for (auto& t : s.dims) {
@@ -117,7 +127,7 @@ ir::IExprPtr sweep_extreme(const ir::IExprPtr& e,
   IExprPtr cur = e;
   for (auto it = loops.rbegin(); it != loops.rend(); ++it) {
     if (!cur) return nullptr;
-    cur = expand_bound(cur, (*it)->var, (*it)->lb, (*it)->ub, lower);
+    cur = sweep_loop(cur, **it, lower);
   }
   return cur ? ir::simplify(cur) : nullptr;
 }

@@ -261,21 +261,6 @@ void flatten_mul(const VExprPtr& e, std::vector<VExprPtr>& factors) {
   return std::nullopt;
 }
 
-/// All statements in the subtree rooted at `s` (inclusive).
-void subtree_stmts(const Stmt& s, std::set<const Stmt*>& out) {
-  out.insert(&s);
-  auto walk_list = [&out](const StmtList& body) {
-    for (const auto& c : body)
-      if (c) subtree_stmts(*c, out);
-  };
-  if (s.kind() == SKind::Loop) {
-    walk_list(s.as_loop().body);
-  } else if (s.kind() == SKind::If) {
-    walk_list(s.as_if().then_body);
-    walk_list(s.as_if().else_body);
-  }
-}
-
 /// Recognize every accumulator in `l.body` (any nesting depth) whose target
 /// is invariant in `l.var`, then reject any whose name is touched by a
 /// statement outside its own accumulation set (the mid-body re-read guard).
@@ -362,48 +347,19 @@ struct Certifier {
   Program& p;
   const CertifyOptions& opt;
   CertifyResult result;
-  std::vector<RefInfo> all_refs;
-
-  std::vector<std::string> path;
+  verify::StmtPath path;
   std::vector<Assumptions> ctxs;
 
   explicit Certifier(Program& prog, const CertifyOptions& o)
       : p(prog), opt(o) {
     ctxs.push_back(o.ctx ? *o.ctx : Assumptions{});
-    all_refs = analysis::collect_refs(p.body);
-  }
-
-  [[nodiscard]] std::string path_str() const {
-    std::string out;
-    for (const auto& seg : path) {
-      if (!out.empty()) out += " > ";
-      out += seg;
-    }
-    return out;
-  }
-
-  /// Scalars written in `l` that privatization makes iteration-local:
-  /// per-iteration def-before-use and no reference anywhere outside `l`.
-  [[nodiscard]] std::set<std::string> ignorable_scalars(Loop& l) const {
-    std::set<std::string> priv = analysis::privatizable_scalars(l.body);
-    if (priv.empty()) return priv;
-    std::set<const Stmt*> inside;
-    subtree_stmts(l, inside);
-    std::set<std::string> out;
-    for (const auto& name : priv) {
-      bool outside_use = false;
-      for (const auto& r : all_refs)
-        if (r.array == name && !inside.count(r.owner)) outside_use = true;
-      if (!outside_use) out.insert(name);
-    }
-    return out;
   }
 
   void certify_loop(Loop& l, int depth) {
     LoopVerdict lv;
     lv.loop = &l;
     lv.var = l.var;
-    lv.path = path_str();
+    lv.path = path.str();
     lv.depth = depth;
     analysis::DepGraph graph(p.body, l, &ctxs.back());
     std::vector<const analysis::Dependence*> carried;
@@ -417,7 +373,7 @@ struct Certifier {
     }
 
     std::vector<Accumulator> accs = recognize_reductions(l);
-    std::set<std::string> private_scalars = ignorable_scalars(l);
+    std::set<std::string> priv = analysis::private_scalars(p.body, l);
 
     std::set<std::string> used_accs;
     ReduceOp op = ReduceOp::Sum;
@@ -425,7 +381,7 @@ struct Certifier {
     for (const analysis::Dependence* dep : carried) {
       if (dep->src.is_scalar() && dep->dst.is_scalar() &&
           dep->src.array == dep->dst.array &&
-          private_scalars.count(dep->src.array))
+          priv.contains(dep->src.array))
         continue;  // privatization removes this carried dependence
       const Accumulator* owner = nullptr;
       for (const auto& acc : accs)
@@ -466,22 +422,22 @@ struct Certifier {
           break;
         case SKind::Loop: {
           Loop& l = s->as_loop();
-          path.push_back("DO " + l.var);
+          path.push(*s);
           certify_loop(l, depth);
           Assumptions inner = ctxs.back();
           if (l.lb && l.ub) inner.add_loop_range(l.var, l.lb, l.ub, l.step);
           ctxs.push_back(std::move(inner));
           walk(l.body, depth + 1);
           ctxs.pop_back();
-          path.pop_back();
+          path.pop();
           break;
         }
         case SKind::If: {
           If& f = s->as_if();
-          path.push_back("IF (" + ir::to_string(f.cond) + ")");
+          path.push(*s);
           walk(f.then_body, depth);
           walk(f.else_body, depth);
-          path.pop_back();
+          path.pop();
           break;
         }
       }
@@ -714,15 +670,9 @@ verify::Report check_races(Program& p, const CertifyResult& result,
     }
 
     // Scalars written by a parallel iteration must be provably private.
-    std::set<const Stmt*> inside;
-    subtree_stmts(l, inside);
-    std::set<std::string> priv = analysis::privatizable_scalars(l.body);
+    std::set<std::string> priv = analysis::private_scalars(p.body, l);
     for (const auto& name : scalar_writes) {
-      bool ok = priv.count(name) > 0;
-      if (ok)
-        for (const auto& r : all_refs)
-          if (r.array == name && !inside.count(r.owner)) ok = false;
-      if (!ok)
+      if (!priv.contains(name))
         rep.add(verify::Severity::Error, "parallel-cert-race",
                 "scalar " + name + " written inside DO " + lv.var +
                     " (certified parallel) is not provably private",

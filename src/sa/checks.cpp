@@ -1,130 +1,269 @@
 #include "sa/checks.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "analysis/refs.hpp"
 #include "analysis/sections.hpp"
-#include "sa/dataflow.hpp"
+#include "ir/affine.hpp"
 
 namespace blk::sa {
 
+using namespace blk::ir;
 using analysis::Assumptions;
+using analysis::RefInfo;
+using analysis::Section;
 
 namespace {
 
-/// Dead stores, one statement list at a time.  A store becomes "pending"
-/// when its subtree writes it unconditionally and its own reads provably
-/// miss it; a later sibling kills it (dead store) by writing a covering
-/// region unconditionally, or consumes it (live) by any read that is not
-/// provably disjoint.  Pending stores surviving to the end of the list are
-/// simply dropped — something after the sequence may still read them.
-class DeadStoreChecker final : public Checker {
- public:
-  explicit DeadStoreChecker(verify::Report& rep) : rep_(rep) {}
+/// What both checks query: the array references of the program in
+/// pre-order (`collect_refs`; scalars are not regions), and for each
+/// pre-order position (`RefInfo::textual_pos`) the statement's `where`
+/// path, the position of its innermost enclosing IF (0: none) and the last
+/// position inside its subtree.
+struct Positions {
+  struct At {
+    std::string where;
+    int guard = 0;
+    int last = 0;
+  };
+  std::vector<RefInfo> refs;
+  std::vector<At> stmts = std::vector<At>(1);  // positions count from 1
 
-  void on_sequence(std::span<const StmtFacts> children,
-                   const Assumptions& ctx) override {
-    std::vector<const Region*> pending;
-    for (const auto& child : children) {
-      // Reads first (Fortran evaluates the RHS before storing): any read
-      // that may touch a pending region keeps it alive.
-      std::erase_if(pending, [&](const Region* store) {
-        for (const auto& rd : child.reads)
-          if (rd.array == store->array &&
-              (!rd.analyzable ||
-               analysis::disjoint(rd.section, store->section, ctx) != true))
-            return true;
+  explicit Positions(Program& p) {
+    for (RefInfo& r : analysis::collect_refs(p.body))
+      if (!r.is_scalar()) refs.push_back(std::move(r));
+    verify::StmtPath path;
+    number(p.body, path, 0);
+  }
+
+  void number(StmtList& body, verify::StmtPath& path, int if_pos) {
+    for (auto& s : body) {
+      const auto pos = static_cast<int>(stmts.size());
+      path.push(*s);
+      stmts.push_back({.where = path.str(), .guard = if_pos});
+      if (s->kind() == SKind::Loop) number(s->as_loop().body, path, if_pos);
+      if (s->kind() == SKind::If) {
+        number(s->as_if().then_body, path, pos);
+        number(s->as_if().else_body, path, pos);
+      }
+      stmts[static_cast<std::size_t>(pos)].last =
+          static_cast<int>(stmts.size()) - 1;
+      path.pop();
+    }
+  }
+
+  [[nodiscard]] const At& operator[](int pos) const {
+    return stmts[static_cast<std::size_t>(pos)];
+  }
+
+  /// The references owned by the statement at `pos` and its subtree.
+  [[nodiscard]] std::span<const RefInfo> subtree(int pos) const {
+    auto lo = std::ranges::lower_bound(refs, pos, {}, &RefInfo::textual_pos);
+    auto hi = std::ranges::upper_bound(refs, (*this)[pos].last, {},
+                                       &RefInfo::textual_pos);
+    return {lo, hi};
+  }
+};
+
+/// Section `r` touches while the loops it is inside from `depth` inward
+/// run; nullopt when a bound defeats the analysis.
+[[nodiscard]] std::optional<Section> section_from(const RefInfo& r,
+                                                  std::size_t depth) {
+  Section s = analysis::section_of(
+      r, std::span<Loop* const>(r.loops).subspan(depth));
+  for (const auto& t : s.dims)
+    if (!t.lb || !t.ub) return std::nullopt;
+  return s;
+}
+
+/// `ctx` plus the range facts of `loops`.
+[[nodiscard]] Assumptions inside(Assumptions ctx,
+                                 std::span<Loop* const> loops) {
+  for (const Loop* l : loops)
+    ctx.add_loop_range(l->var, l->lb, l->ub, l->step);
+  return ctx;
+}
+
+/// The loop provably runs at least once, counting up, under `ctx`.
+[[nodiscard]] bool runs(const Loop& l, const Assumptions& ctx) {
+  return l.step->kind == IKind::Const && l.step->value > 0 &&
+         ctx.ge(l.ub, l.lb);
+}
+
+/// The write `w` touches every element of its section over the loops from
+/// `depth` inward (a section is a hull: DO K / M(K,K) spans M(1:N,1:N)).
+/// Each such loop counts up by 1 and drives at most one subscript, with
+/// coefficient +-1; no subscript holds two of them, and no such loop's
+/// bounds mention another (no triangle).
+[[nodiscard]] bool exact(const RefInfo& w, std::size_t depth) {
+  std::span<Loop* const> loops =
+      std::span<Loop* const>(w.loops).subspan(depth);
+  std::set<std::string> driven;
+  for (const auto& sub : w.subs) {
+    auto aff = as_affine(sub);
+    int here = 0;
+    for (const Loop* l : loops)
+      if (mentions(*sub, l->var) &&
+          (++here > 1 || !aff || std::labs(aff->coef_of(l->var)) != 1 ||
+           !driven.insert(l->var).second))
         return false;
-      });
-      // Kills: an unconditional covering write makes the pending store
-      // dead — its value was never observable.
-      if (child.must_execute) {
-        std::erase_if(pending, [&](const Region* store) {
-          for (const auto& w : child.writes)
-            if (!w.guarded && w.analyzable && w.array == store->array &&
-                analysis::subset(store->section, w.section, ctx) == true) {
-              rep_.add(verify::Severity::Warning, "dead-store",
-                       "store to " + store->section.to_string() +
-                           " is overwritten by " + w.path +
-                           " before any read",
-                       store->path);
+  }
+  return std::ranges::all_of(loops, [&](const Loop* l) {
+    return l->step->kind == IKind::Const && l->step->value == 1 &&
+           std::ranges::none_of(loops, [&](const Loop* m) {
+             return mentions(*l->lb, m->var) || mentions(*l->ub, m->var);
+           });
+  });
+}
+
+/// One reference of a statement-list child, over the loops inside it.
+struct Access {
+  const RefInfo* ref = nullptr;
+  std::optional<Section> sec;
+  bool guarded = false;  ///< under an IF or a maybe-empty loop of the child
+  bool exact = false;    ///< a write of every element of `sec`
+};
+
+/// Dead stores, one statement list at a time.  A child's reads and writes
+/// are the references it owns, expanded over the loops inside it.  A store
+/// becomes "pending" when its child writes it unconditionally and its own
+/// reads provably miss it; a later sibling kills it (dead store) by an
+/// unconditional exact write of a covering section, or consumes it (live)
+/// by any read that is not provably disjoint.  Pending stores surviving to
+/// the end of the list are dropped: something after it may still read
+/// them.
+struct DeadStores {
+  const Positions& at;
+  verify::Report& rep;
+
+  /// Checks the list whose children start at position `pos`, inside
+  /// `depth` loops whose ranges `ctx` holds, then every list nested in
+  /// it.  Returns the position after the list.
+  int check(StmtList& body, int pos, std::size_t depth,
+            const Assumptions& ctx) {
+    const int first = pos;
+    std::vector<Access> pending;
+    for (auto& s : body) {
+      std::vector<Access> reads, writes;
+      for (const RefInfo& r : at.subtree(pos)) {
+        Access a{.ref = &r, .sec = section_from(r, depth)};
+        if (r.is_write) {
+          a.guarded = at[r.textual_pos].guard >= pos;
+          for (std::size_t k = depth; k < r.loops.size(); ++k)
+            a.guarded = a.guarded || !runs(*r.loops[k], ctx);
+          a.exact = a.sec && exact(r, depth);
+        }
+        (r.is_write ? writes : reads).push_back(std::move(a));
+      }
+      const bool must_execute =
+          s->kind() == SKind::Assign ||
+          (s->kind() == SKind::Loop && runs(s->as_loop(), ctx));
+      // Any read that may touch `w` (Fortran reads the RHS before it
+      // stores, so a child's reads come before its writes).
+      auto read_of = [&](const Access& w) {
+        return std::ranges::any_of(reads, [&](const Access& rd) {
+          return rd.ref->array == w.ref->array &&
+                 (!rd.sec || analysis::disjoint(*rd.sec, *w.sec, ctx) != true);
+        });
+      };
+      std::erase_if(pending, read_of);
+      if (must_execute)
+        std::erase_if(pending, [&](const Access& store) {
+          for (const Access& w : writes)
+            if (!w.guarded && w.exact && w.ref->array == store.ref->array &&
+                analysis::subset(*store.sec, *w.sec, ctx) == true) {
+              rep.add(verify::Severity::Warning, "dead-store",
+                      "store to " + store.sec->to_string() +
+                          " is overwritten by " + where(w) +
+                          " before any read",
+                      where(store));
               return true;
             }
           return false;
         });
-      }
-      // The child's own unconditional stores become candidates, provided
-      // the child itself provably never reads them back (unknown internal
-      // ordering otherwise).
-      for (const auto& w : child.writes) {
-        if (!w.analyzable || w.guarded || !child.must_execute) continue;
-        bool self_read = false;
-        for (const auto& rd : child.reads)
-          if (rd.array == w.array &&
-              (!rd.analyzable ||
-               analysis::disjoint(rd.section, w.section, ctx) != true))
-            self_read = true;
-        if (!self_read) pending.push_back(&w);
-      }
+      if (must_execute)
+        for (const Access& w : writes)
+          if (w.sec && !w.guarded && !read_of(w)) pending.push_back(w);
+      pos = at[pos].last + 1;
     }
-  }
-
- private:
-  verify::Report& rep_;
-};
-
-/// Uninitialized region reads.  Warn only when every part of the proof
-/// succeeds: the read's fully-expanded region is provably disjoint from
-/// every write region that may execute before it, the array *is* written
-/// somewhere in the program (else it is an external input), and no write
-/// to it defeats section analysis.
-class UninitReadChecker final : public Checker {
- public:
-  UninitReadChecker(ir::Program& p, verify::Report& rep) : rep_(rep) {
-    for (const auto& r : analysis::collect_refs(p.body)) {
-      if (!r.is_write || r.is_scalar()) continue;
-      written_.insert(r.array);
-      for (const auto& s : r.subs)
-        if (!s) unanalyzable_.insert(r.array);
+    pos = first;
+    for (auto& s : body) {
+      if (s->kind() == SKind::Loop) {
+        Loop* l = &s->as_loop();
+        check(l->body, pos + 1, depth + 1,
+              inside(ctx, std::span<Loop* const>(&l, 1)));
+      } else if (s->kind() == SKind::If) {
+        If& f = s->as_if();
+        check(f.else_body, check(f.then_body, pos + 1, depth, ctx), depth,
+              ctx);
+      }
+      pos = at[pos].last + 1;
     }
+    return pos;
   }
 
-  void on_read(const Region& r, const RegionState& state,
-               const Assumptions& ctx) override {
-    if (!r.analyzable) return;
-    if (!written_.count(r.array) || unanalyzable_.count(r.array)) return;
-    const RegionSet* writes = state.writes(r.array);
-    if (writes && writes->may_overlap(r.section, ctx)) return;
-    rep_.add(verify::Severity::Warning, "uninit-region-read",
-             "read of " + r.section.to_string() +
-                 " precedes every write of " + r.array +
-                 "; the region is provably never initialized here",
-             r.path);
+  [[nodiscard]] const std::string& where(const Access& a) const {
+    return at[a.ref->textual_pos].where;
   }
-
- private:
-  verify::Report& rep_;
-  std::set<std::string> written_;
-  std::set<std::string> unanalyzable_;
 };
 
 }  // namespace
 
-verify::Report check_dead_stores(ir::Program& p, const CheckOptions& opt) {
+verify::Report check_dead_stores(Program& p, const CheckOptions& opt) {
   verify::Report rep;
-  DeadStoreChecker checker(rep);
-  Checker* list[] = {&checker};
-  run_dataflow(p, list, {.ctx = opt.ctx});
+  Positions at(p);
+  DeadStores{at, rep}.check(p.body, 1, 0,
+                            opt.ctx ? *opt.ctx : Assumptions{});
   rep.canonicalize();
   return rep;
 }
 
-verify::Report check_uninit_reads(ir::Program& p, const CheckOptions& opt) {
+/// Uninitialized region reads.  A write may precede a read when it comes
+/// first in pre-order or shares an enclosing loop with it (an earlier
+/// iteration).  Warn only when every part of the proof succeeds: the
+/// read's section over all its loops is provably disjoint from the section
+/// of every write that may precede it, the array *is* written somewhere in
+/// the program (else it is an external input), and no write to it defeats
+/// section analysis.
+verify::Report check_uninit_reads(Program& p, const CheckOptions& opt) {
   verify::Report rep;
-  UninitReadChecker checker(p, rep);
-  Checker* list[] = {&checker};
-  run_dataflow(p, list, {.ctx = opt.ctx});
+  Positions at(p);
+  std::set<std::string> written, unanalyzable;
+  std::vector<std::optional<Section>> full;
+  for (const RefInfo& r : at.refs) {
+    full.push_back(section_from(r, 0));
+    if (!r.is_write) continue;
+    written.insert(r.array);
+    if (std::ranges::any_of(r.subs, [](const IExprPtr& e) { return !e; }))
+      unanalyzable.insert(r.array);
+  }
+  const Assumptions base = opt.ctx ? *opt.ctx : Assumptions{};
+  for (std::size_t i = 0; i < at.refs.size(); ++i) {
+    const RefInfo& rd = at.refs[i];
+    if (rd.is_write || !full[i] || !written.contains(rd.array) ||
+        unanalyzable.contains(rd.array))
+      continue;
+    const Assumptions ctx = inside(base, rd.loops);
+    bool may_init = false;
+    for (std::size_t j = 0; j < at.refs.size() && !may_init; ++j) {
+      const RefInfo& w = at.refs[j];
+      if (!w.is_write || w.array != rd.array ||
+          (w.textual_pos >= rd.textual_pos && rd.common_depth(w) == 0))
+        continue;
+      may_init =
+          !full[j] || analysis::disjoint(*full[i], *full[j], ctx) != true;
+    }
+    if (!may_init)
+      rep.add(verify::Severity::Warning, "uninit-region-read",
+              "read of " + full[i]->to_string() + " precedes every write of " +
+                  rd.array + "; the region is provably never initialized here",
+              at[rd.textual_pos].where);
+  }
   rep.canonicalize();
   return rep;
 }

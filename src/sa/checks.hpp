@@ -1,7 +1,9 @@
-// Dataflow-based checkers: dead/redundant array-region stores, and reads
-// of array regions no preceding write can have initialized.  Both run on
-// the sa dataflow engine and emit verify::Diagnostics; both are sound for
-// warnings — an unprovable fact suppresses the finding, never invents one.
+// Region checks: dead/redundant array-region stores, and reads of array
+// regions no preceding write can have initialized.  Both are queries over
+// analysis::collect_refs and section_of (a region is expanded over its
+// enclosing loops, so no fixpoint is needed) and emit verify::Diagnostics;
+// both are sound for warnings — an unprovable fact suppresses the finding,
+// never invents one.
 #pragma once
 
 #include "analysis/assume.hpp"
@@ -15,7 +17,8 @@ struct CheckOptions {
 };
 
 /// Stores whose region is fully overwritten by a later unconditional store
-/// before any possibly-overlapping read (code "dead-store", Warning).
+/// that writes every element of its section, before any possibly-
+/// overlapping read (code "dead-store", Warning).
 [[nodiscard]] verify::Report check_dead_stores(ir::Program& p,
                                                const CheckOptions& opt = {});
 

@@ -1,6 +1,6 @@
 // Facade over the static-analysis subsystem: one call runs the structural
 // lint, the parallel-safety certifier (with its independent race re-check),
-// and the dataflow checkers, returning one canonical diagnostics report —
+// and the region checks, returning one canonical diagnostics report —
 // what the blk-lint CLI and the pm `certify` pass build on.
 #pragma once
 

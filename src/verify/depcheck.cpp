@@ -80,31 +80,6 @@ void vskel(const VExpr& e, std::string& out) {
   return "?";
 }
 
-[[nodiscard]] std::string describe_owner(const Stmt& s) {
-  switch (s.kind()) {
-    case SKind::Assign: {
-      const Assign& a = s.as_assign();
-      std::string out;
-      if (a.label != 0) out += std::to_string(a.label) + ": ";
-      out += a.lhs.name;
-      if (a.lhs.is_array()) {
-        out += "(";
-        for (std::size_t i = 0; i < a.lhs.subs.size(); ++i) {
-          if (i) out += ",";
-          out += ir::to_string(a.lhs.subs[i]);
-        }
-        out += ")";
-      }
-      return out + "=...";
-    }
-    case SKind::If:
-      return "IF (" + ir::to_string(s.as_if().cond) + ")";
-    case SKind::Loop:
-      return "DO " + s.as_loop().var;
-  }
-  return "?";
-}
-
 // ---- Descending-loop normalization -----------------------------------------
 
 /// Rewrite every `DO V = hi, lo, -1` as `DO V = lo, hi` with occurrences
@@ -247,18 +222,16 @@ Report check_dependence_preservation(const Program& pre, const Program& post,
 
     std::string src_key = stmt_key(*dep.src.owner);
     std::string dst_key = stmt_key(*dep.dst.owner);
-    std::string src_desc = describe_owner(*dep.src.owner);
-    std::string dst_desc = describe_owner(*dep.dst.owner);
 
     if (!post_keys.count(src_key) || !post_keys.count(dst_key)) {
-      const std::string& lost =
-          post_keys.count(src_key) ? dst_desc : src_desc;
+      std::string src = describe(*dep.src.owner);
+      std::string dst = describe(*dep.dst.owner);
       rep.add(Severity::Error, "lost-statement",
-              "statement '" + lost + "' (endpoint of a " +
-                  analysis::to_string(dep.type) + " dependence on " +
-                  dep.src.array +
+              "statement '" + (post_keys.count(src_key) ? dst : src) +
+                  "' (endpoint of a " + analysis::to_string(dep.type) +
+                  " dependence on " + dep.src.array +
                   ") has no corresponding statement after the pass",
-              src_desc + " -> " + dst_desc);
+              src + " -> " + dst);
       continue;
     }
 
@@ -304,14 +277,16 @@ Report check_dependence_preservation(const Program& pre, const Program& post,
       if (!found.empty()) found += ", ";
       found += r;
     }
+    std::string src = describe(*dep.src.owner);
+    std::string dst = describe(*dep.dst.owner);
     rep.add(Severity::Error, "dep-broken",
             std::string(analysis::to_string(dep.type)) + " dependence on " +
-                dep.src.array + " from '" + src_desc + "' to '" + dst_desc +
-                "' " + summarize_vectors(dep) +
+                dep.src.array + " from '" + src + "' to '" + dst + "' " +
+                summarize_vectors(dep) +
                 " is not preserved: the accesses still conflict, but as " +
                 found +
                 " — the pass reordered accesses whose order carries a value",
-            src_desc + " -> " + dst_desc);
+            src + " -> " + dst);
   }
 
   return rep;

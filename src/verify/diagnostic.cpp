@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ir/printer.hpp"
+
 namespace blk::verify {
 
 const char* to_string(Severity s) {
@@ -20,6 +22,39 @@ std::string Diagnostic::to_string() const {
   if (subscript > 0) os << " (subscript " << subscript << ")";
   if (!where.empty()) os << "\n    at " << where;
   return os.str();
+}
+
+std::string describe(const ir::Stmt& s) {
+  switch (s.kind()) {
+    case ir::SKind::Loop:
+      return "DO " + s.as_loop().var;
+    case ir::SKind::If:
+      return "IF (" + ir::to_string(s.as_if().cond) + ")";
+    case ir::SKind::Assign:
+      break;
+  }
+  const ir::Assign& a = s.as_assign();
+  std::string out;
+  if (a.label != 0) out += std::to_string(a.label) + ": ";
+  out += a.lhs.name;
+  if (a.lhs.is_array()) {
+    out += "(";
+    for (std::size_t i = 0; i < a.lhs.subs.size(); ++i) {
+      if (i) out += ",";
+      out += ir::to_string(a.lhs.subs[i]);
+    }
+    out += ")";
+  }
+  return out + "=...";
+}
+
+std::string StmtPath::str() const {
+  std::string out;
+  for (const auto& seg : segments_) {
+    if (!out.empty()) out += " > ";
+    out += seg;
+  }
+  return out;
 }
 
 bool Report::ok() const {

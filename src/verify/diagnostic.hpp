@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "ir/stmt.hpp"
+
 namespace blk::verify {
 
 enum class Severity : int { Note = 0, Warning = 1, Error = 2 };
@@ -22,6 +24,22 @@ struct Diagnostic {
   int subscript = 0;    ///< offending subscript position (1-based), 0 = n/a
 
   [[nodiscard]] std::string to_string() const;
+};
+
+/// One statement's segment of a `where` path: "DO K", "IF (B(I).GT.0.0)",
+/// or an assignment as "10: A(I,K)=..." (label, target, elided RHS).
+[[nodiscard]] std::string describe(const ir::Stmt& s);
+
+/// The `where` path a walker is at: the segments of the statements it is
+/// inside, joined by " > " ("DO K > DO I > A(I,K)=...").
+class StmtPath {
+ public:
+  void push(const ir::Stmt& s) { segments_.push_back(describe(s)); }
+  void pop() { segments_.pop_back(); }
+  [[nodiscard]] std::string str() const;
+
+ private:
+  std::vector<std::string> segments_;
 };
 
 /// Outcome of one verification pass.

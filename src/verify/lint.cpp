@@ -2,7 +2,6 @@
 
 #include <map>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,22 +15,6 @@ using namespace blk::ir;
 using analysis::Assumptions;
 
 namespace {
-
-[[nodiscard]] std::string describe_assign(const Assign& a) {
-  std::ostringstream os;
-  if (a.label != 0) os << a.label << ": ";
-  os << a.lhs.name;
-  if (a.lhs.is_array()) {
-    os << "(";
-    for (std::size_t i = 0; i < a.lhs.subs.size(); ++i) {
-      if (i) os << ",";
-      os << ir::to_string(a.lhs.subs[i]);
-    }
-    os << ")";
-  }
-  os << "=...";
-  return os.str();
-}
 
 /// First textual read/write position of each scalar, with the path of the
 /// earliest read (for the use-before-def diagnostic).
@@ -47,7 +30,7 @@ struct Linter {
   Report rep;
 
   std::vector<Loop*> loops;        ///< enclosing loops, outermost first
-  std::vector<std::string> path;   ///< human-readable statement path
+  StmtPath path;                   ///< human-readable statement path
   std::vector<Assumptions> ctxs;   ///< assumption context per nesting level
   int if_depth = 0;
   int dead_depth = 0;  ///< > 0 inside a provably zero-trip loop
@@ -58,21 +41,12 @@ struct Linter {
     ctxs.push_back(o.ctx ? *o.ctx : Assumptions{});
   }
 
-  [[nodiscard]] std::string path_str() const {
-    std::string out;
-    for (const auto& seg : path) {
-      if (!out.empty()) out += " > ";
-      out += seg;
-    }
-    return out;
-  }
-
   void note_scalar_read(const std::string& name) {
     if (!p.has_scalar(name)) return;
     auto& u = scalar_uses[name];
     if (u.first_read < 0) {
       u.first_read = counter;
-      u.read_path = path_str();
+      u.read_path = path.str();
     }
   }
 
@@ -167,7 +141,7 @@ struct Linter {
           rep.add(Severity::Note, "unanalyzable-subscript",
                   "subscript " + std::to_string(d + 1) + " of " + array +
                       " defeats section analysis; bounds not checked",
-                  path_str(), static_cast<int>(d + 1));
+                  path.str(), static_cast<int>(d + 1));
         continue;
       }
       bool above = ctx.ge(t.ub, iadd(decl.dims[d].ub, iconst(1)));
@@ -183,9 +157,9 @@ struct Linter {
         if (if_depth > 0)
           rep.add(Severity::Warning, "oob-subscript-guarded",
                   msg + "; an enclosing IF may exclude the violation",
-                  path_str(), static_cast<int>(d + 1));
+                  path.str(), static_cast<int>(d + 1));
         else
-          rep.add(Severity::Error, "oob-subscript", msg, path_str(),
+          rep.add(Severity::Error, "oob-subscript", msg, path.str(),
                   static_cast<int>(d + 1));
         continue;
       }
@@ -195,7 +169,7 @@ struct Linter {
                 "subscript " + std::to_string(d + 1) + " of " + array +
                     " spans " + t.to_string() +
                     ", not provably within the declared extent",
-                path_str(), static_cast<int>(d + 1));
+                path.str(), static_cast<int>(d + 1));
     }
   }
 
@@ -206,7 +180,7 @@ struct Linter {
       switch (s->kind()) {
         case SKind::Assign: {
           Assign& a = s->as_assign();
-          path.push_back(describe_assign(a));
+          path.push(*s);
           // Fortran order: the RHS (and subscripts) read before the LHS
           // writes, so scan reads first for use-before-def precision.
           if (a.rhs) scan_vexpr(*a.rhs);
@@ -217,12 +191,12 @@ struct Linter {
           } else {
             note_scalar_write(a.lhs.name);
           }
-          path.pop_back();
+          path.pop();
           break;
         }
         case SKind::Loop: {
           Loop& l = s->as_loop();
-          path.push_back("DO " + l.var);
+          path.push(*s);
           if (l.lb) scan_iexpr(*l.lb);
           if (l.ub) scan_iexpr(*l.ub);
           if (l.step) scan_iexpr(*l.step);
@@ -240,7 +214,7 @@ struct Linter {
                       "loop " + l.var + " never executes: range " +
                           ir::to_string(l.lb) + ".." + ir::to_string(l.ub) +
                           " is provably empty under the assumptions",
-                      path_str());
+                      path.str());
           }
 
           Assumptions inner = ctxs.back();
@@ -252,19 +226,19 @@ struct Linter {
           if (zero_trip) --dead_depth;
           loops.pop_back();
           ctxs.pop_back();
-          path.pop_back();
+          path.pop();
           break;
         }
         case SKind::If: {
           If& f = s->as_if();
-          path.push_back("IF (" + ir::to_string(f.cond) + ")");
+          path.push(*s);
           if (f.cond.lhs) scan_vexpr(*f.cond.lhs);
           if (f.cond.rhs) scan_vexpr(*f.cond.rhs);
           ++if_depth;
           walk(f.then_body);
           walk(f.else_body);
           --if_depth;
-          path.pop_back();
+          path.pop();
           break;
         }
       }

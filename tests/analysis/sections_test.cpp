@@ -159,6 +159,25 @@ TEST(Sections, SweepExtremeTriangular) {
             -9);
 }
 
+TEST(Sections, StepSignDecidesTheSweep) {
+  // DO K = N, 1, -1 counts down: K spans 1..N, not the inverted N..1
+  // that would look disjoint from itself.
+  Loop down("K", ivar("N"), iconst(1), iconst(-1));
+  std::vector<Loop*> loops{&down};
+  std::span<Loop* const> sp(loops.data(), loops.size());
+  EXPECT_EQ(to_string(sweep_extreme(ivar("K"), sp, true)), "1");
+  EXPECT_EQ(to_string(sweep_extreme(ivar("K"), sp, false)), "N");
+  RefInfo ref{.array = "A", .subs = {ivar("K")}, .loops = loops};
+  EXPECT_EQ(section_of(ref, sp).to_string(), "A(1:N)");
+  // A symbolic step's sign is unknown: a bound mentioning K gives up,
+  // one that does not stays as it is.
+  Loop any("K", iconst(1), ivar("N"), ivar("S"));
+  std::vector<Loop*> sym{&any};
+  std::span<Loop* const> ss(sym.data(), sym.size());
+  EXPECT_EQ(sweep_extreme(ivar("K"), ss, true), nullptr);
+  EXPECT_EQ(to_string(sweep_extreme(ivar("N"), ss, false)), "N");
+}
+
 TEST(Sections, SweepExtremeThroughMinMax) {
   Loop i("I", iconst(0), ivar("N3"), iconst(1));
   std::vector<Loop*> loops{&i};

@@ -5,6 +5,7 @@
 #include "ir/builder.hpp"
 #include "kernels/ir_kernels.hpp"
 #include "pm/runner.hpp"
+#include "pm/spec.hpp"
 #include "sa/certify.hpp"
 
 namespace blk::sa {
@@ -268,6 +269,61 @@ TEST(Certify, RaceCheckCatchesForgedParallelVerdict) {
   EXPECT_FALSE(races.ok());
   ASSERT_FALSE(races.diags.empty());
   EXPECT_EQ(races.diags[0].code, "parallel-cert-race");
+}
+
+TEST(Certify, RaceCheckCatchesForgedVerdictOverDescendingLoop) {
+  // DO I / DO K / A(K) = A(K) + 1.0: every I iteration rewrites all of A,
+  // so a forged `parallel` on DO I must be caught whichever way K counts.
+  // Counting down used to give the inverted section A(N:1), which the
+  // overlap test proved disjoint from itself.
+  set_certify_mutator_for_testing([](CertifyResult& r) {
+    for (auto& lv : r.loops)
+      if (lv.var == "I") lv.verdict = Verdict::Parallel;
+  });
+  for (long step : {1L, -1L}) {
+    Program p;
+    p.param("N");
+    p.array("A", {v("N")});
+    IExprPtr lo = c(1), hi = v("N");
+    if (step < 0) std::swap(lo, hi);
+    p.add(loop("I", c(1), v("N"),
+               loop_step("K", lo, hi, c(step),
+                         assign(lv("A", {v("K")}),
+                                a("A", {v("K")}) + f(1.0)))));
+    CertifyResult r = certify(p);
+    verify::Report races = check_races(p, r);
+    EXPECT_FALSE(races.ok()) << "step " << step << "\n" << r.to_string();
+  }
+  set_certify_mutator_for_testing(nullptr);
+}
+
+TEST(Certify, ScalarPrivateToTheInnerLoopIsPrivateToTheOuterOne) {
+  // DO I / DO J / T = A(J,I) / B(J,I) = T*2.0: T is written before it is
+  // read in every J iteration and referenced nowhere else, so the
+  // certifier's rule (analysis::private_scalars, shared with interchange
+  // and unroll-and-jam) privatizes it for DO I as well.
+  Program p;
+  p.param("N");
+  p.scalar("T");
+  p.array("A", {v("N"), v("N")});
+  p.array("B", {v("N"), v("N")});
+  p.add(loop("I", c(1), v("N"),
+             loop("J", c(1), v("N"),
+                  assign(lvs("T"), a("A", {v("J"), v("I")})),
+                  assign(lv("B", {v("J"), v("I")}), s("T") * f(2.0)))));
+  CertifyResult r = certify(p);
+  EXPECT_EQ(get(r, "I").verdict, Verdict::Parallel) << r.to_string();
+  EXPECT_EQ(get(r, "J").verdict, Verdict::Parallel) << r.to_string();
+  verify::Report races = check_races(p, r);
+  EXPECT_TRUE(races.ok()) << races.to_string();
+  // The plan still takes DO J: parallelize's last-value rule needs T
+  // assigned at the top level of the planned loop's body.
+  pm::PipelineContext ctx(p);
+  (void)pm::run_pipeline(pm::parse_pipeline("parallelize(check)"), ctx);
+  ASSERT_TRUE(ctx.parallel && ctx.parallel->enabled());
+  ASSERT_EQ(ctx.parallel->loops.size(), 1u);
+  EXPECT_EQ(ctx.parallel->loops[0].var, "J");
+  EXPECT_EQ(ctx.parallel->loops[0].occurrence, 0);
 }
 
 TEST(Certify, VerdictReportUsesStableCodes) {

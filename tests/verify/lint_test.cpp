@@ -63,6 +63,26 @@ TEST(Lint, CatchesProvableOutOfBounds) {
   EXPECT_NE(d->where.find("DO I"), std::string::npos);
 }
 
+TEST(Lint, DescendingLoopOverrunIsReported) {
+  // DO K = N+1, 1, -1 counts down from N+1: A(K) spans 1:N+1, like its
+  // ascending twin, not the inverted (and so empty-looking) N+1:1.
+  for (long step : {1L, -1L}) {
+    Program p;
+    p.param("N");
+    p.array("A", {v("N")});
+    IExprPtr lo = c(1), hi = v("N") + 1;
+    if (step < 0) std::swap(lo, hi);
+    p.add(loop_step("K", lo, hi, c(step), assign(lv("A", {v("K")}), f(0.0))));
+    analysis::Assumptions ctx;
+    ctx.assert_ge(v("N"), c(1));
+    Report r = lint(p, {.ctx = &ctx});
+    const Diagnostic* d = find_code(r, "oob-subscript");
+    ASSERT_NE(d, nullptr) << "step " << step << "\n" << r.to_string();
+    EXPECT_NE(d->message.find("spans 1:N+1"), std::string::npos)
+        << d->message;
+  }
+}
+
 TEST(Lint, CatchesBelowLowerBound) {
   Program p;
   p.param("N");

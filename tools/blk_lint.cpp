@@ -1,6 +1,6 @@
 // blk-lint: full static analysis of a mini-Fortran program — structural
 // lint, the parallel-safety certifier with its independent race re-check,
-// and the dataflow checkers (dead stores, uninitialized region reads) —
+// and the region checks (dead stores, uninitialized region reads) —
 // rendered as text, JSON, or SARIF 2.1.0.
 //
 //   blk-lint [options] file.f...          (or `-` / no file for stdin)
@@ -160,7 +160,7 @@ void usage(std::ostream& os) {
      << "\n"
      << "Runs the structural lint, the parallel-safety certifier (with an\n"
      << "independent write-write race re-check of every parallel verdict),\n"
-     << "and the dataflow checkers over each file.\n"
+     << "and the dead-store and uninitialized-read checks over each file.\n"
      << "\n"
      << "exit status:\n"
      << "  0  clean (warnings allowed unless --Werror)\n"
