@@ -1,13 +1,32 @@
 #include "analysis/assume.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <initializer_list>
+#include <utility>
+
 namespace blk::analysis {
 
 using namespace blk::ir;
+
+namespace {
+
+/// Additive hash of an affine form's linear part: linear_hash(a - b) ==
+/// linear_hash(a) - linear_hash(b) (mod 2^64), and a constant hashes to 0.
+std::uint64_t linear_hash(const Affine& a) {
+  std::uint64_t h = 0;
+  for (const auto& [v, k] : a.coef)
+    h += static_cast<std::uint64_t>(k) * std::hash<std::string>{}(v);
+  return h;
+}
+
+}  // namespace
 
 void Assumptions::assert_nonneg(Affine f) {
   // Constant facts carry no information (or are contradictions the caller
   // should not be asserting); skip them.
   if (f.is_constant()) return;
+  hashes_.push_back(linear_hash(f));
   facts_.push_back(std::move(f));
 }
 
@@ -82,28 +101,53 @@ bool Assumptions::nonneg_with(const Affine& f,
     return i < facts_.size() ? facts_[i] : extra[i - facts_.size()];
   };
   const std::size_t nf = facts_.size() + extra.size();
+  std::vector<std::uint64_t> hash;
+  hash.reserve(nf);
+  hash.insert(hash.end(), hashes_.begin(), hashes_.end());
+  for (const Affine& e : extra) hash.push_back(linear_hash(e));
+
+  // A proof is f - F_i [- F_j [- F_k]] == a non-negative constant with
+  // i <= j <= k, so the last fact's linear hash equals the partial
+  // residue's.  Index the facts by (hash, position) and find the last fact
+  // by lookup among positions >= the previous one; the exact subtraction
+  // confirms each hit, so a collision costs one subtraction, not a proof.
+  std::vector<std::pair<std::uint64_t, std::size_t>> table;
+  table.reserve(nf);
+  for (std::size_t i = 0; i < nf; ++i) table.emplace_back(hash[i], i);
+  std::sort(table.begin(), table.end());
+  auto closes = [&](std::uint64_t key, std::size_t from,
+                    std::initializer_list<std::size_t> used) {
+    for (auto it = std::lower_bound(table.begin(), table.end(),
+                                    std::pair{key, from});
+         it != table.end() && it->first == key; ++it) {
+      Affine r = f;
+      for (std::size_t u : used) r -= fact(u);
+      if (auto s = constant_sign(r - fact(it->second)); s && *s >= 0)
+        return true;
+    }
+    return false;
+  };
 
   // Depth-1: f - fact is a nonneg constant.
-  for (std::size_t i = 0; i < nf; ++i) {
-    Affine r = f - fact(i);
-    if (auto s = constant_sign(r); s && *s >= 0) return true;
-  }
+  const std::uint64_t hf = linear_hash(f);
+  if (closes(hf, 0, {})) return true;
   // Depth-2 and depth-3: subtract combinations of facts.  Depth 3 covers
   // chained loop-bound reasoning through two strip levels (e.g. N-1-KK via
-  // KK <= K+KS-1 and the driver's K+KS-1 <= N-1).
+  // KK <= K+KS-1 and the driver's K+KS-1 <= N-1).  A constant partial
+  // residue ends its branch: its hash is 0, and the exact subtraction
+  // confirms it.
   for (std::size_t i = 0; i < nf; ++i) {
-    Affine r1 = f - fact(i);
-    if (constant_sign(r1)) continue;  // handled at depth 1
+    const std::uint64_t h1 = hf - hash[i];
+    if (h1 == 0 && (f - fact(i)).is_constant()) continue;  // handled at depth 1
     for (std::size_t j = i; j < nf; ++j) {
-      Affine r2 = r1 - fact(j);
-      if (auto s = constant_sign(r2)) {
-        if (*s >= 0) return true;
-        continue;
+      const std::uint64_t h2 = h1 - hash[j];
+      if (h2 == 0) {
+        if (auto s = constant_sign(f - fact(i) - fact(j))) {
+          if (*s >= 0) return true;
+          continue;
+        }
       }
-      for (std::size_t k = j; k < nf; ++k) {
-        Affine r3 = r2 - fact(k);
-        if (auto s = constant_sign(r3); s && *s >= 0) return true;
-      }
+      if (closes(h2, j, {i, j})) return true;
     }
   }
   return false;

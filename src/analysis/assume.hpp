@@ -7,6 +7,7 @@
 // never "provably false".
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -40,8 +41,12 @@ class Assumptions {
   void add_loop_range(const std::string& var, const ir::IExprPtr& lb,
                       const ir::IExprPtr& ub, const ir::IExprPtr& step);
 
-  /// Provably f >= 0?  Proof search: constant sign; or f minus a sum of at
-  /// most two asserted facts (each usable once) is a non-negative constant.
+  /// Provably f >= 0?  Proof search: constant sign; or f - F_i [- F_j
+  /// [- F_k]] is a non-negative constant for asserted facts i <= j <= k (a
+  /// fact may repeat; a constant partial residue ends its branch).  Facts
+  /// are indexed by a hash of their linear part, so for n facts the search
+  /// costs O(n^2 log n) hash lookups plus one exact subtraction per hit,
+  /// not O(n^3) subtractions.
   [[nodiscard]] bool nonneg(const ir::Affine& f) const;
 
   /// Provably e >= 0 for a general index expression.  MIN/MAX nodes are
@@ -63,6 +68,7 @@ class Assumptions {
 
  private:
   std::vector<ir::Affine> facts_;      ///< each fact f means f >= 0
+  std::vector<std::uint64_t> hashes_;  ///< hash of each fact's linear part
   std::vector<ir::IExprPtr> raw_facts_;  ///< non-affine facts, each >= 0
 
   /// Case-split every MIN/MAX in goal and facts, then run the affine

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "ir/affine.hpp"
 #include "ir/error.hpp"
@@ -322,6 +323,18 @@ std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
   for (std::size_t l = 0; l < depth; ++l) {
     if (cons[l].infeasible()) return {};
     distances[l] = cons[l].distance;
+  }
+
+  // Each candidate vector is screened below, and their number grows as
+  // 3^depth: refuse a pair with more than 3^8 rather than exhaust memory.
+  constexpr std::size_t kMaxVectors = 6561;
+  std::size_t candidates = 1;
+  for (const LoopConstraint& c : cons) {
+    candidates *= static_cast<std::size_t>(c.lt) + c.eq + c.gt;
+    if (candidates > kMaxVectors)
+      throw Error("ddtest: " + a.array + " in a " + std::to_string(depth) +
+                  "-deep nest has more than " + std::to_string(kMaxVectors) +
+                  " direction vectors to test");
   }
 
   std::vector<DirVec> lex_pos, lex_neg;

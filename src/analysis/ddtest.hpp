@@ -75,7 +75,9 @@ struct DepOptions {
 /// Candidate direction vectors are screened with a Banerjee-style proof
 /// under loop-range facts plus any caller-supplied `ctx` facts: for each
 /// vector, if the subscript difference is provably nonzero in some
-/// dimension, the vector is infeasible.
+/// dimension, the vector is infeasible.  Throws blk::Error when the pair
+/// has more than 3^8 candidate vectors (a deeper nest than the screen
+/// handles in bounded time and memory).
 [[nodiscard]] std::vector<Dependence> test_pair(
     const RefInfo& a, const RefInfo& b, const Assumptions* ctx = nullptr);
 

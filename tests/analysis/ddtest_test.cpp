@@ -4,6 +4,7 @@
 
 #include "analysis/ddtest.hpp"
 #include "ir/builder.hpp"
+#include "ir/error.hpp"
 #include "kernels/ir_kernels.hpp"
 
 namespace blk::analysis {
@@ -34,6 +35,26 @@ TEST(DDTest, StrongSivCarriedFlow) {
   EXPECT_EQ(d->distance_at(0), 5);
   EXPECT_TRUE(d->carried_at(0));
   EXPECT_FALSE(d->loop_independent());
+}
+
+TEST(DDTest, DeepNestOverTheVectorCapThrows) {
+  // A(1) = A(1) + 1 inside nine loops leaves each loop all three
+  // directions: 3^9 candidate vectors, over the 3^8 cap.
+  Program p;
+  p.param("N");
+  p.array_bounds("A", {{.lb = c(1), .ub = v("N")}});
+  StmtPtr s = assign(lv("A", {c(1)}), a("A", {c(1)}) + f(1.0));
+  for (int d = 9; d >= 1; --d)
+    s = loop("I" + std::to_string(d), c(1), v("N"), std::move(s));
+  p.add(std::move(s));
+  try {
+    (void)all_dependences(p.body);
+    ADD_FAILURE() << "a 9-deep nest enumerated 3^9 vectors";
+  } catch (const blk::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("A in a 9-deep nest"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DDTest, StrongSivAntiWhenReadAhead) {

@@ -239,8 +239,14 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    blk::sa::SaResult sa = blk::sa::analyze(
-        compiled.program, {.ctx = &ctx, .pedantic = pedantic});
+    blk::sa::SaResult sa;
+    try {
+      sa = blk::sa::analyze(compiled.program,
+                            {.ctx = &ctx, .pedantic = pedantic});
+    } catch (const std::exception& e) {
+      std::cerr << label << ": analysis error: " << e.what() << "\n";
+      return 2;
+    }
     any_error = any_error || sa.report.error_count() > 0;
     any_warning = any_warning || sa.report.warning_count() > 0;
     results.push_back({label, std::move(sa.report)});
