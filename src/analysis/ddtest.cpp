@@ -396,30 +396,37 @@ std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
 }
 
 std::vector<Dependence> all_dependences(ir::StmtList& body,
-                                        const DepOptions& opt) {
-  return all_dependences(collect_refs(body), opt);
+                                        const Assumptions* ctx) {
+  return all_dependences(collect_refs(body), ctx);
 }
 
 std::vector<Dependence> all_dependences(const std::vector<RefInfo>& refs,
-                                        const DepOptions& opt) {
+                                        const Assumptions* ctx) {
   std::vector<Dependence> out;
   for (std::size_t i = 0; i < refs.size(); ++i) {
     for (std::size_t j = i; j < refs.size(); ++j) {
       const RefInfo& a = refs[i];
       const RefInfo& b = refs[j];
       if (a.array != b.array) continue;
-      if (!a.is_write && !b.is_write && !opt.include_inputs) continue;
-      if (i == j) {
-        // Self pair: only meaningful for writes (output dependence across
-        // iterations); the all-EQ vector is the same access and is skipped
-        // because textually_before(a, a) is false.
-        if (!a.is_write) continue;
-      }
-      auto deps = test_pair(a, b, opt.ctx);
+      if (!a.is_write && !b.is_write) continue;
+      // A self pair is a write's output dependence across iterations; the
+      // all-EQ vector is the same access and is skipped because
+      // textually_before(a, a) is false.
+      auto deps = test_pair(a, b, ctx);
       for (auto& d : deps) out.push_back(std::move(d));
     }
   }
   return out;
+}
+
+std::vector<Dependence> dependences_within(ir::StmtList& root,
+                                           const ir::Loop& loop,
+                                           const Assumptions* ctx) {
+  std::vector<RefInfo> refs = collect_refs(root);
+  std::erase_if(refs, [&](const RefInfo& r) {
+    return std::ranges::find(r.loops, &loop) == r.loops.end();
+  });
+  return all_dependences(refs, ctx);
 }
 
 }  // namespace blk::analysis

@@ -55,20 +55,23 @@ struct Dependence {
   std::vector<std::optional<long>> distances;
 };
 
-/// Options for dependence collection.
-struct DepOptions {
-  bool include_inputs = false;        ///< also report read-read (reuse) edges
-  const Assumptions* ctx = nullptr;   ///< extra symbolic facts for the
-                                      ///< direction-vector screen
-};
-
-/// All dependences among memory references in `body`.
+/// All flow, anti and output dependences among the memory references in
+/// `body`; `ctx` adds symbolic facts to the direction-vector screen.
 [[nodiscard]] std::vector<Dependence> all_dependences(
-    ir::StmtList& body, const DepOptions& opt = {});
+    ir::StmtList& body, const Assumptions* ctx = nullptr);
 
 /// All dependences among `refs`, a subsequence of collect_refs' output.
 [[nodiscard]] std::vector<Dependence> all_dependences(
-    const std::vector<RefInfo>& refs, const DepOptions& opt = {});
+    const std::vector<RefInfo>& refs, const Assumptions* ctx = nullptr);
+
+/// The dependences among the references inside `loop`: the references are
+/// collected from `root`, so each keeps its full loop chain, and only those
+/// whose chain contains `loop` are tested.  The result is the ordered
+/// subsequence of all_dependences(root, ctx) whose endpoints both lie in
+/// `loop`, without testing the pairs outside it.
+[[nodiscard]] std::vector<Dependence> dependences_within(
+    ir::StmtList& root, const ir::Loop& loop,
+    const Assumptions* ctx = nullptr);
 
 /// Dependences between one ordered occurrence pair (`a` textually first).
 /// May return zero, one (a->b), or two (a->b and reversed b->a) edges.

@@ -1,5 +1,7 @@
 #include "ir/stmt.hpp"
 
+#include <algorithm>
+
 #include "ir/error.hpp"
 
 namespace blk::ir {
@@ -117,6 +119,23 @@ void for_each_stmt_const(const StmtList& body,
 void for_each_stmt(const StmtList& body,
                    const std::function<void(const Stmt&)>& fn) {
   for_each_stmt_const(body, fn);
+}
+
+bool contains(const Stmt& s, const Stmt* target) {
+  if (&s == target) return true;
+  auto any = [target](const StmtList& body) {
+    return std::ranges::any_of(
+        body, [target](const StmtPtr& c) { return contains(*c, target); });
+  };
+  switch (s.kind()) {
+    case SKind::Loop:
+      return any(s.as_loop().body);
+    case SKind::If:
+      return any(s.as_if().then_body) || any(s.as_if().else_body);
+    case SKind::Assign:
+      break;
+  }
+  return false;
 }
 
 LoopLocation find_loop(StmtList& body, const std::string& var) {

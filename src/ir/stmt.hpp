@@ -121,6 +121,9 @@ void for_each_stmt(StmtList& body, const std::function<void(Stmt&)>& fn);
 void for_each_stmt(const StmtList& body,
                    const std::function<void(const Stmt&)>& fn);
 
+/// Is `target` the statement `s` or a statement inside it?
+[[nodiscard]] bool contains(const Stmt& s, const Stmt* target);
+
 /// Location of a loop inside its parent statement list, precise enough for a
 /// transformation to replace the loop with something else.
 struct LoopLocation {

@@ -88,6 +88,13 @@ void step_interchange(PipelineContext& ctx) {
   }
 }
 
+void jam(PipelineContext& ctx, Loop& loop, long factor) {
+  if (transform::triangular_nest(loop))
+    transform::unroll_and_jam_triangular(ctx.prog, loop, factor, &ctx.hints);
+  else
+    transform::unroll_and_jam(ctx.prog, loop, factor, &ctx.hints);
+}
+
 RegisterBlockResult step_register_block(PipelineContext& ctx,
                                         const std::vector<Loop*>& loops,
                                         std::size_t first, long factor) {
@@ -98,11 +105,7 @@ RegisterBlockResult step_register_block(PipelineContext& ctx,
   for (std::size_t i = first; i < loops.size(); ++i) {
     Loop& loop = *loops[i];
     try {
-      if (transform::triangular_nest(loop))
-        transform::unroll_and_jam_triangular(ctx.prog, loop, factor,
-                                             &ctx.hints);
-      else
-        transform::unroll_and_jam(ctx.prog, loop, factor, &ctx.hints);
+      jam(ctx, loop, factor);
       ++r.jammed;
     } catch (const Error& e) {
       r.refused += "; piece " + std::to_string(i + 1) +

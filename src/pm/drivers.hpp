@@ -34,6 +34,10 @@ void step_distribute(PipelineContext& ctx);
 /// directly (plain strip-mine-and-interchange).
 void step_interchange(PipelineContext& ctx);
 
+/// Unroll-and-jam `loop` by `factor`, with the §3.1 triangular jam when
+/// transform::triangular_nest says the shape demands it.
+void jam(PipelineContext& ctx, ir::Loop& loop, long factor);
+
 /// Outcome of register blocking.
 struct RegisterBlockResult {
   int jammed = 0;       ///< loops unroll-and-jammed

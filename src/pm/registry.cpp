@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/refs.hpp"
 #include "ir/error.hpp"
 #include "pm/drivers.hpp"
 #include "pm/pass.hpp"
@@ -47,26 +48,6 @@ Loop* nth_loop(StmtList& body, const std::string& var, long& index) {
     }
   }
   return nullptr;
-}
-
-/// Every scalar assigned anywhere under `body`.
-void written_scalars(const StmtList& body, std::set<std::string>& out) {
-  for (const auto& s : body) {
-    switch (s->kind()) {
-      case SKind::Assign: {
-        const Assign& a = s->as_assign();
-        if (!a.lhs.is_array()) out.insert(a.lhs.name);
-        break;
-      }
-      case SKind::Loop:
-        written_scalars(s->as_loop().body, out);
-        break;
-      case SKind::If:
-        written_scalars(s->as_if().then_body, out);
-        written_scalars(s->as_if().else_body, out);
-        break;
-    }
-  }
 }
 
 /// True when `sc` has an unconditional top-level assignment in the loop's
@@ -223,18 +204,12 @@ Registry::Registry() {
        }});
 
   add({.name = "unrolljam",
-       .doc = "unroll-and-jam the target loop by u",
+       .doc = "unroll-and-jam the target loop by u (triangular where the "
+              "shape demands)",
        .options = {{.name = "u", .kind = OptKind::Int,
-                    .doc = "unroll factor (default 2)"},
-                   {.name = "triangular", .kind = OptKind::Flag,
-                    .doc = "use the §3.1 triangular jam"}},
+                    .doc = "unroll factor (default 2)"}},
        .run = [](PipelineContext& ctx, const PassInvocation& inv) {
-         long u = inv.int_or("u", kDefaultUnroll);
-         if (inv.flag("triangular"))
-           transform::unroll_and_jam_triangular(ctx.prog, ctx.target(), u,
-                                                &ctx.hints);
-         else
-           transform::unroll_and_jam(ctx.prog, ctx.target(), u, &ctx.hints);
+         detail::jam(ctx, ctx.target(), inv.int_or("u", kDefaultUnroll));
        }});
 
   add({.name = "scalarrepl",
@@ -420,12 +395,11 @@ Registry::Registry() {
            // that reproduces serial last-value semantics only when every
            // iteration unconditionally overwrites them.
            if (!lv.loop) continue;
-           std::set<std::string> written;
-           written_scalars(lv.loop->body, written);
            bool ok = true;
-           for (const auto& sc : written)
-             if (!exempt.contains(sc) &&
-                 !unconditionally_assigned(*lv.loop, sc))
+           for (const analysis::RefInfo& r : analysis::collect_refs(
+                    const_cast<Loop*>(lv.loop)->body))
+             if (r.is_write && r.is_scalar() && !exempt.contains(r.array) &&
+                 !unconditionally_assigned(*lv.loop, r.array))
                ok = false;
            if (!ok) continue;
 

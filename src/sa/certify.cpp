@@ -343,121 +343,82 @@ void flatten_mul(const VExprPtr& e, std::vector<VExprPtr>& factors) {
   return true;
 }
 
-struct Certifier {
-  Program& p;
-  const CertifyOptions& opt;
-  CertifyResult result;
-  verify::StmtPath path;
-  std::vector<Assumptions> ctxs;
+/// Verdict on the loop at `at`, from the DepGraph built under `ctx`: the
+/// caller's facts plus the ranges of the loops around it.
+LoopVerdict certify_loop(Program& p, const verify::StmtTable::At& at,
+                         const Assumptions& ctx) {
+  Loop& l = at.stmt->as_loop();
+  LoopVerdict lv;
+  lv.loop = &l;
+  lv.var = l.var;
+  lv.path = at.where;
+  lv.depth = static_cast<int>(at.loops.size());
+  analysis::DepGraph graph(p.body, l, &ctx);
+  std::vector<const analysis::Dependence*> carried;
+  for (const auto& e : graph.edges())
+    if (e.carried) carried.push_back(&e.dep);
 
-  explicit Certifier(Program& prog, const CertifyOptions& o)
-      : p(prog), opt(o) {
-    ctxs.push_back(o.ctx ? *o.ctx : Assumptions{});
+  if (carried.empty()) {
+    lv.verdict = Verdict::Parallel;
+    return lv;
   }
 
-  void certify_loop(Loop& l, int depth) {
-    LoopVerdict lv;
-    lv.loop = &l;
-    lv.var = l.var;
-    lv.path = path.str();
-    lv.depth = depth;
-    analysis::DepGraph graph(p.body, l, &ctxs.back());
-    std::vector<const analysis::Dependence*> carried;
-    for (const auto& e : graph.edges())
-      if (e.carried) carried.push_back(&e.dep);
+  std::vector<Accumulator> accs = recognize_reductions(l);
+  std::set<std::string> priv = analysis::private_scalars(p.body, l);
 
-    if (carried.empty()) {
-      lv.verdict = Verdict::Parallel;
-      result.loops.push_back(std::move(lv));
-      return;
-    }
-
-    std::vector<Accumulator> accs = recognize_reductions(l);
-    std::set<std::string> priv = analysis::private_scalars(p.body, l);
-
-    std::set<std::string> used_accs;
-    ReduceOp op = ReduceOp::Sum;
-    const analysis::Dependence* unattributed = nullptr;
-    for (const analysis::Dependence* dep : carried) {
-      if (dep->src.is_scalar() && dep->dst.is_scalar() &&
-          dep->src.array == dep->dst.array &&
-          priv.contains(dep->src.array))
-        continue;  // privatization removes this carried dependence
-      const Accumulator* owner = nullptr;
-      for (const auto& acc : accs)
-        if (endpoint_matches(dep->src, acc) &&
-            endpoint_matches(dep->dst, acc)) {
-          owner = &acc;
-          break;
-        }
-      if (!owner) {
-        unattributed = dep;
+  std::set<std::string> used_accs;
+  ReduceOp op = ReduceOp::Sum;
+  const analysis::Dependence* unattributed = nullptr;
+  for (const analysis::Dependence* dep : carried) {
+    if (dep->src.is_scalar() && dep->dst.is_scalar() &&
+        dep->src.array == dep->dst.array && priv.contains(dep->src.array))
+      continue;  // privatization removes this carried dependence
+    const Accumulator* owner = nullptr;
+    for (const auto& acc : accs)
+      if (endpoint_matches(dep->src, acc) &&
+          endpoint_matches(dep->dst, acc)) {
+        owner = &acc;
         break;
       }
-      if (used_accs.empty()) op = owner->op;
-      used_accs.insert(owner->to_string());
+    if (!owner) {
+      unattributed = dep;
+      break;
     }
-
-    if (unattributed) {
-      lv.verdict = Verdict::Serial;
-      lv.witness = unattributed->to_string() + " carried by DO " + l.var;
-    } else if (!used_accs.empty()) {
-      lv.verdict = Verdict::Reduction;
-      lv.op = op;
-      for (const auto& name : used_accs) {
-        if (!lv.accumulator.empty()) lv.accumulator += ",";
-        lv.accumulator += name;
-      }
-    } else {
-      lv.verdict = Verdict::Parallel;  // carried deps were all privatizable
-    }
-    result.loops.push_back(std::move(lv));
+    if (used_accs.empty()) op = owner->op;
+    used_accs.insert(owner->to_string());
   }
 
-  void walk(StmtList& body, int depth) {
-    for (auto& s : body) {
-      if (!s) continue;
-      switch (s->kind()) {
-        case SKind::Assign:
-          break;
-        case SKind::Loop: {
-          Loop& l = s->as_loop();
-          path.push(*s);
-          certify_loop(l, depth);
-          Assumptions inner = ctxs.back();
-          if (l.lb && l.ub) inner.add_loop_range(l.var, l.lb, l.ub, l.step);
-          ctxs.push_back(std::move(inner));
-          walk(l.body, depth + 1);
-          ctxs.pop_back();
-          path.pop();
-          break;
-        }
-        case SKind::If: {
-          If& f = s->as_if();
-          path.push(*s);
-          walk(f.then_body, depth);
-          walk(f.else_body, depth);
-          path.pop();
-          break;
-        }
-      }
+  if (unattributed) {
+    lv.verdict = Verdict::Serial;
+    lv.witness = unattributed->to_string() + " carried by DO " + l.var;
+  } else if (!used_accs.empty()) {
+    lv.verdict = Verdict::Reduction;
+    lv.op = op;
+    for (const auto& name : used_accs) {
+      if (!lv.accumulator.empty()) lv.accumulator += ",";
+      lv.accumulator += name;
     }
+  } else {
+    lv.verdict = Verdict::Parallel;  // carried deps were all privatizable
   }
-};
+  return lv;
+}
 
-}  // namespace
-
-namespace {
 CertifyMutator g_mutator = nullptr;
+
 }  // namespace
 
 void set_certify_mutator_for_testing(CertifyMutator m) { g_mutator = m; }
 
 CertifyResult certify(Program& p, const CertifyOptions& opt) {
-  Certifier c(p, opt);
-  c.walk(p.body, 0);
-  if (g_mutator) g_mutator(c.result);
-  return std::move(c.result);
+  CertifyResult result;
+  const verify::StmtTable at(p);
+  const Assumptions base = opt.ctx ? *opt.ctx : Assumptions{};
+  for (int pos = 1; pos <= at.size(); ++pos)
+    if (at[pos].stmt->kind() == SKind::Loop)
+      result.loops.push_back(certify_loop(p, at[pos], at.context(pos, base)));
+  if (g_mutator) g_mutator(result);
+  return result;
 }
 
 verify::Report verdict_report(const CertifyResult& result) {

@@ -20,56 +20,6 @@ using analysis::Section;
 
 namespace {
 
-/// What both checks query: the array references of the program in
-/// pre-order (`collect_refs`; scalars are not regions), and for each
-/// pre-order position (`RefInfo::textual_pos`) the statement's `where`
-/// path, the position of its innermost enclosing IF (0: none) and the last
-/// position inside its subtree.
-struct Positions {
-  struct At {
-    std::string where;
-    int guard = 0;
-    int last = 0;
-  };
-  std::vector<RefInfo> refs;
-  std::vector<At> stmts = std::vector<At>(1);  // positions count from 1
-
-  explicit Positions(Program& p) {
-    for (RefInfo& r : analysis::collect_refs(p.body))
-      if (!r.is_scalar()) refs.push_back(std::move(r));
-    verify::StmtPath path;
-    number(p.body, path, 0);
-  }
-
-  void number(StmtList& body, verify::StmtPath& path, int if_pos) {
-    for (auto& s : body) {
-      const auto pos = static_cast<int>(stmts.size());
-      path.push(*s);
-      stmts.push_back({.where = path.str(), .guard = if_pos});
-      if (s->kind() == SKind::Loop) number(s->as_loop().body, path, if_pos);
-      if (s->kind() == SKind::If) {
-        number(s->as_if().then_body, path, pos);
-        number(s->as_if().else_body, path, pos);
-      }
-      stmts[static_cast<std::size_t>(pos)].last =
-          static_cast<int>(stmts.size()) - 1;
-      path.pop();
-    }
-  }
-
-  [[nodiscard]] const At& operator[](int pos) const {
-    return stmts[static_cast<std::size_t>(pos)];
-  }
-
-  /// The references owned by the statement at `pos` and its subtree.
-  [[nodiscard]] std::span<const RefInfo> subtree(int pos) const {
-    auto lo = std::ranges::lower_bound(refs, pos, {}, &RefInfo::textual_pos);
-    auto hi = std::ranges::upper_bound(refs, (*this)[pos].last, {},
-                                       &RefInfo::textual_pos);
-    return {lo, hi};
-  }
-};
-
 /// Section `r` touches while the loops it is inside from `depth` inward
 /// run; nullopt when a bound defeats the analysis.
 [[nodiscard]] std::optional<Section> section_from(const RefInfo& r,
@@ -79,14 +29,6 @@ struct Positions {
   for (const auto& t : s.dims)
     if (!t.lb || !t.ub) return std::nullopt;
   return s;
-}
-
-/// `ctx` plus the range facts of `loops`.
-[[nodiscard]] Assumptions inside(Assumptions ctx,
-                                 std::span<Loop* const> loops) {
-  for (const Loop* l : loops)
-    ctx.add_loop_range(l->var, l->lb, l->ub, l->step);
-  return ctx;
 }
 
 /// The loop provably runs at least once, counting up, under `ctx`.
@@ -138,7 +80,7 @@ struct Access {
 /// the end of the list are dropped: something after it may still read
 /// them.
 struct DeadStores {
-  const Positions& at;
+  const verify::StmtTable& at;
   verify::Report& rep;
 
   /// Checks the list whose children start at position `pos`, inside
@@ -151,6 +93,7 @@ struct DeadStores {
     for (auto& s : body) {
       std::vector<Access> reads, writes;
       for (const RefInfo& r : at.subtree(pos)) {
+        if (r.is_scalar()) continue;  // scalars are not regions
         Access a{.ref = &r, .sec = section_from(r, depth)};
         if (r.is_write) {
           a.guarded = at[r.textual_pos].guard >= pos;
@@ -194,9 +137,10 @@ struct DeadStores {
     pos = first;
     for (auto& s : body) {
       if (s->kind() == SKind::Loop) {
-        Loop* l = &s->as_loop();
-        check(l->body, pos + 1, depth + 1,
-              inside(ctx, std::span<Loop* const>(&l, 1)));
+        Loop& l = s->as_loop();
+        Assumptions inner = ctx;
+        inner.add_loop_range(l.var, l.lb, l.ub, l.step);
+        check(l.body, pos + 1, depth + 1, inner);
       } else if (s->kind() == SKind::If) {
         If& f = s->as_if();
         check(f.else_body, check(f.then_body, pos + 1, depth, ctx), depth,
@@ -216,7 +160,7 @@ struct DeadStores {
 
 verify::Report check_dead_stores(Program& p, const CheckOptions& opt) {
   verify::Report rep;
-  Positions at(p);
+  const verify::StmtTable at(p);
   DeadStores{at, rep}.check(p.body, 1, 0,
                             opt.ctx ? *opt.ctx : Assumptions{});
   rep.canonicalize();
@@ -232,27 +176,28 @@ verify::Report check_dead_stores(Program& p, const CheckOptions& opt) {
 /// section analysis.
 verify::Report check_uninit_reads(Program& p, const CheckOptions& opt) {
   verify::Report rep;
-  Positions at(p);
+  const verify::StmtTable at(p);
+  const std::vector<RefInfo>& refs = at.refs();
   std::set<std::string> written, unanalyzable;
   std::vector<std::optional<Section>> full;
-  for (const RefInfo& r : at.refs) {
+  for (const RefInfo& r : refs) {
     full.push_back(section_from(r, 0));
-    if (!r.is_write) continue;
+    if (!r.is_write || r.is_scalar()) continue;
     written.insert(r.array);
     if (std::ranges::any_of(r.subs, [](const IExprPtr& e) { return !e; }))
       unanalyzable.insert(r.array);
   }
   const Assumptions base = opt.ctx ? *opt.ctx : Assumptions{};
-  for (std::size_t i = 0; i < at.refs.size(); ++i) {
-    const RefInfo& rd = at.refs[i];
-    if (rd.is_write || !full[i] || !written.contains(rd.array) ||
-        unanalyzable.contains(rd.array))
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const RefInfo& rd = refs[i];
+    if (rd.is_write || rd.is_scalar() || !full[i] ||
+        !written.contains(rd.array) || unanalyzable.contains(rd.array))
       continue;
-    const Assumptions ctx = inside(base, rd.loops);
+    const Assumptions ctx = at.context(rd.textual_pos, base);
     bool may_init = false;
-    for (std::size_t j = 0; j < at.refs.size() && !may_init; ++j) {
-      const RefInfo& w = at.refs[j];
-      if (!w.is_write || w.array != rd.array ||
+    for (std::size_t j = 0; j < refs.size() && !may_init; ++j) {
+      const RefInfo& w = refs[j];
+      if (!w.is_write || w.is_scalar() || w.array != rd.array ||
           (w.textual_pos >= rd.textual_pos && rd.common_depth(w) == 0))
         continue;
       may_init =

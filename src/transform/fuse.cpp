@@ -87,19 +87,13 @@ Loop& fuse(StmtList& root, Loop& first, bool check,
     std::set<const Stmt*> g1;
     for (std::size_t i = 0; i < first_count; ++i)
       collect_subtree(*first.body[i], g1);
-    auto level_of = [&](const analysis::RefInfo& r)
-        -> std::optional<std::size_t> {
-      for (std::size_t i = 0; i < r.loops.size(); ++i)
-        if (r.loops[i] == &first) return i;
-      return std::nullopt;
-    };
-    for (const auto& d : analysis::all_dependences(root, {.ctx = ctx})) {
-      if (!d.src.owner || !d.dst.owner) continue;
+    for (const auto& d : analysis::dependences_within(root, first, ctx)) {
       bool src_in_g2 = !g1.contains(d.src.owner);
       bool dst_in_g1 = g1.contains(d.dst.owner);
       if (!src_in_g2 || !dst_in_g1) continue;
-      auto lvl = level_of(d.src);
-      if (lvl && d.carried_at(*lvl)) {
+      const auto lvl = static_cast<std::size_t>(
+          std::ranges::find(d.src.loops, &first) - d.src.loops.begin());
+      if (d.carried_at(lvl)) {
         // Undo the fusion before reporting.
         StmtList tail;
         for (std::size_t i = first_count; i < first.body.size(); ++i)
@@ -121,8 +115,7 @@ void reverse_loop(StmtList& root, Loop& loop, bool check,
                   const Assumptions* ctx) {
   PassScope scope("reverse", root);
   if (check) {
-    auto deps = analysis::all_dependences(root, {.ctx = ctx});
-    for (const auto& d : deps) {
+    for (const auto& d : analysis::dependences_within(root, loop, ctx)) {
       std::size_t depth = d.src.common_depth(d.dst);
       for (std::size_t i = 0; i < depth; ++i) {
         if (d.src.loops[i] != &loop) continue;

@@ -45,30 +45,6 @@ LoopLocation locate(StmtList& root, const Loop& loop) {
   return finder.found;
 }
 
-/// Is `target` the statement `s` or inside it?
-bool contains_stmt(const Stmt& s, const Stmt* target) {
-  if (&s == target) return true;
-  switch (s.kind()) {
-    case SKind::Assign:
-      return false;
-    case SKind::Loop:
-      for (const auto& c : s.as_loop().body)
-        if (contains_stmt(*c, target)) return true;
-      return false;
-    case SKind::If:
-      for (const auto& c : s.as_if().then_body)
-        if (contains_stmt(*c, target)) return true;
-      for (const auto& c : s.as_if().else_body)
-        if (contains_stmt(*c, target)) return true;
-      return false;
-  }
-  return false;
-}
-
-}  // namespace
-
-namespace {
-
 /// Dependences carried by `loop` from inside `work_stmt` back into the
 /// retained (guard/prep) region — the ones that make IF-inspection
 /// illegal.
@@ -77,7 +53,7 @@ std::vector<analysis::Dependence> blocking_deps(StmtList& root, Loop& loop,
   std::vector<analysis::Dependence> out;
   std::vector<RefInfo> refs = analysis::collect_refs(root);
   auto in_work = [&](const RefInfo& r) {
-    return r.owner && contains_stmt(*work_stmt, r.owner);
+    return r.owner && contains(*work_stmt, r.owner);
   };
   auto in_this_loop = [&](const RefInfo& r) {
     return std::find(r.loops.begin(), r.loops.end(), &loop) != r.loops.end();
@@ -122,7 +98,7 @@ IfInspectResult if_inspect_auto(Program& p, StmtList& root, Loop& loop) {
     std::set<std::string> written_outside, read_inside;
     for (const RefInfo& r : refs) {
       if (!r.is_scalar()) continue;
-      bool in_work = r.owner && contains_stmt(*work, r.owner);
+      bool in_work = r.owner && contains(*work, r.owner);
       if (r.is_write && !in_work) written_outside.insert(r.array);
       if (!r.is_write && in_work) read_inside.insert(r.array);
     }
@@ -155,7 +131,7 @@ IfInspectResult if_inspect_auto(Program& p, StmtList& root, Loop& loop) {
         long alpha = 0;
         for (Loop* l : victim.loops) {
           long k = fa->coef_of(l->var);
-          if (k != 0 && contains_stmt(*work, l)) {
+          if (k != 0 && contains(*work, l)) {
             if (target) {
               target = nullptr;
               break;
@@ -189,7 +165,7 @@ IfInspectResult if_inspect_auto(Program& p, StmtList& root, Loop& loop) {
     std::set<std::string> outside_writes;
     for (const RefInfo& r : refs)
       if (r.is_scalar() && r.is_write &&
-          !(r.owner && contains_stmt(*work, r.owner)))
+          !(r.owner && contains(*work, r.owner)))
         outside_writes.insert(r.array);
 
     std::vector<RefInfo> wrefs = analysis::collect_refs(
@@ -251,7 +227,7 @@ IfInspectResult if_inspect(Program& p, StmtList& root, Loop& loop) {
   {
     std::vector<RefInfo> refs = analysis::collect_refs(root);
     auto in_work = [&](const RefInfo& r) {
-      return r.owner && contains_stmt(*work_stmt, r.owner);
+      return r.owner && contains(*work_stmt, r.owner);
     };
     auto in_this_loop = [&](const RefInfo& r) {
       return std::find(r.loops.begin(), r.loops.end(), &loop) !=

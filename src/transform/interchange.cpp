@@ -32,8 +32,7 @@ bool interchange_legal(StmtList& root, Loop& outer,
   // copy.
   const std::set<std::string> priv = analysis::private_scalars(root, outer);
 
-  auto deps = analysis::all_dependences(root, {.ctx = ctx});
-  for (const auto& d : deps) {
+  for (const auto& d : analysis::dependences_within(root, outer, ctx)) {
     if (d.src.is_scalar() && priv.contains(d.src.array)) continue;
     // Locate the two loops in the dependence's common-loop prefix.
     std::size_t depth = d.src.common_depth(d.dst);

@@ -146,35 +146,13 @@ IgnoreEdge commutativity_filter(const Loop& carrier) {
     }
   }
 
-  auto contains = [](const Stmt* node, const Stmt* target) {
-    std::function<bool(const Stmt&)> rec = [&](const Stmt& s) -> bool {
-      if (&s == target) return true;
-      switch (s.kind()) {
-        case SKind::Assign:
-          return false;
-        case SKind::Loop:
-          for (const auto& c : s.as_loop().body)
-            if (rec(*c)) return true;
-          return false;
-        case SKind::If:
-          for (const auto& c : s.as_if().then_body)
-            if (rec(*c)) return true;
-          for (const auto& c : s.as_if().else_body)
-            if (rec(*c)) return true;
-          return false;
-      }
-      return false;
-    };
-    return rec(*node);
-  };
-
-  return [matches, contains](const analysis::DepGraph::Edge& e) -> bool {
+  return [matches](const analysis::DepGraph::Edge& e) -> bool {
     if (!e.dep.src.owner || !e.dep.dst.owner) return false;
     const Match* src_match = nullptr;
     const Match* dst_match = nullptr;
     for (const auto& m : matches) {
-      if (contains(m.node, e.dep.src.owner)) src_match = &m;
-      if (contains(m.node, e.dep.dst.owner)) dst_match = &m;
+      if (contains(*m.node, e.dep.src.owner)) src_match = &m;
+      if (contains(*m.node, e.dep.dst.owner)) dst_match = &m;
     }
     if (!src_match || !dst_match) return false;
     if (src_match->array != dst_match->array) return false;

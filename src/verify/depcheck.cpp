@@ -198,9 +198,9 @@ Report check_dependence_preservation(const Program& pre, const Program& post,
   normalize_descending(a.body);
   normalize_descending(b.body);
 
-  analysis::DepOptions dopt{.include_inputs = false, .ctx = opt.ctx};
-  std::vector<Dependence> pre_deps = analysis::all_dependences(a.body, dopt);
-  std::vector<Dependence> post_deps = analysis::all_dependences(b.body, dopt);
+  std::vector<Dependence> pre_deps = analysis::all_dependences(a.body, opt.ctx);
+  std::vector<Dependence> post_deps =
+      analysis::all_dependences(b.body, opt.ctx);
 
   // Post-side correspondence groups: which keys survive, which references
   // belong to each, and which (type, src, dst, array) edges exist.
@@ -217,7 +217,6 @@ Report check_dependence_preservation(const Program& pre, const Program& post,
                                     stmt_key(*d.dst.owner), d.src.array));
 
   for (const Dependence& dep : pre_deps) {
-    if (dep.type == DepType::Input) continue;
     if (opt.allow_commutative_swaps && commutes(dep)) continue;
 
     std::string src_key = stmt_key(*dep.src.owner);

@@ -48,13 +48,49 @@ std::string describe(const ir::Stmt& s) {
   return out + "=...";
 }
 
-std::string StmtPath::str() const {
-  std::string out;
-  for (const auto& seg : segments_) {
-    if (!out.empty()) out += " > ";
-    out += seg;
+StmtTable::StmtTable(ir::Program& p) : refs_(analysis::collect_refs(p.body)) {
+  std::vector<ir::Loop*> loops;
+  number(p.body, "", loops, 0);
+}
+
+void StmtTable::number(ir::StmtList& body, const std::string& where,
+                       std::vector<ir::Loop*>& loops, int guard) {
+  for (auto& s : body) {
+    const auto pos = stmts_.size();
+    std::string path =
+        where.empty() ? describe(*s) : where + " > " + describe(*s);
+    stmts_.push_back(
+        {.stmt = s.get(), .where = path, .loops = loops, .guard = guard});
+    switch (s->kind()) {
+      case ir::SKind::Loop:
+        loops.push_back(&s->as_loop());
+        number(s->as_loop().body, path, loops, guard);
+        loops.pop_back();
+        break;
+      case ir::SKind::If:
+        number(s->as_if().then_body, path, loops, static_cast<int>(pos));
+        number(s->as_if().else_body, path, loops, static_cast<int>(pos));
+        break;
+      case ir::SKind::Assign:
+        break;
+    }
+    stmts_[pos].last = size();
   }
-  return out;
+}
+
+std::span<const analysis::RefInfo> StmtTable::subtree(int pos) const {
+  auto lo = std::ranges::lower_bound(refs_, pos, {},
+                                     &analysis::RefInfo::textual_pos);
+  auto hi = std::ranges::upper_bound(refs_, (*this)[pos].last, {},
+                                     &analysis::RefInfo::textual_pos);
+  return {lo, hi};
+}
+
+analysis::Assumptions StmtTable::context(int pos,
+                                         analysis::Assumptions base) const {
+  for (const ir::Loop* l : (*this)[pos].loops)
+    base.add_loop_range(l->var, l->lb, l->ub, l->step);
+  return base;
 }
 
 bool Report::ok() const {

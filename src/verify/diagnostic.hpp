@@ -5,10 +5,13 @@
 // can filter and render uniformly.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
-#include "ir/stmt.hpp"
+#include "analysis/assume.hpp"
+#include "analysis/refs.hpp"
+#include "ir/program.hpp"
 
 namespace blk::verify {
 
@@ -30,16 +33,47 @@ struct Diagnostic {
 /// or an assignment as "10: A(I,K)=..." (label, target, elided RHS).
 [[nodiscard]] std::string describe(const ir::Stmt& s);
 
-/// The `where` path a walker is at: the segments of the statements it is
-/// inside, joined by " > " ("DO K > DO I > A(I,K)=...").
-class StmtPath {
+/// Every statement of a program by pre-order position, numbered from 1
+/// like analysis::RefInfo::textual_pos, and every reference
+/// analysis::collect_refs finds in it: the one table the static checks
+/// (lint, the certifier, the region checks) query.
+class StmtTable {
  public:
-  void push(const ir::Stmt& s) { segments_.push_back(describe(s)); }
-  void pop() { segments_.pop_back(); }
-  [[nodiscard]] std::string str() const;
+  struct At {
+    ir::Stmt* stmt = nullptr;
+    /// Segments of the statements it is inside and its own, joined by
+    /// " > " ("DO K > DO I > A(I,K)=...").
+    std::string where;
+    std::vector<ir::Loop*> loops;  ///< enclosing loops, outermost first
+    int guard = 0;                 ///< innermost enclosing IF (0: none)
+    int last = 0;                  ///< last position inside its subtree
+  };
+
+  explicit StmtTable(ir::Program& p);
+
+  /// Number of statements; positions run from 1 to size().
+  [[nodiscard]] int size() const {
+    return static_cast<int>(stmts_.size()) - 1;
+  }
+  [[nodiscard]] const At& operator[](int pos) const {
+    return stmts_[static_cast<std::size_t>(pos)];
+  }
+  /// The program's references in pre-order (collect_refs).
+  [[nodiscard]] const std::vector<analysis::RefInfo>& refs() const {
+    return refs_;
+  }
+  /// The references owned by the statement at `pos` and its subtree.
+  [[nodiscard]] std::span<const analysis::RefInfo> subtree(int pos) const;
+  /// `base` plus the step-aware range facts of the loops enclosing `pos`.
+  [[nodiscard]] analysis::Assumptions context(
+      int pos, analysis::Assumptions base) const;
 
  private:
-  std::vector<std::string> segments_;
+  std::vector<analysis::RefInfo> refs_;
+  std::vector<At> stmts_ = std::vector<At>(1);
+
+  void number(ir::StmtList& body, const std::string& where,
+              std::vector<ir::Loop*>& loops, int guard);
 };
 
 /// Outcome of one verification pass.

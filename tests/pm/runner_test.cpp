@@ -119,6 +119,28 @@ TEST(PipelineRunner, SpecRunVerifiesUnderVerifiedPipeline) {
   EXPECT_TRUE(vp.ok()) << vp.to_string();
 }
 
+// unrolljam takes the §3.1 triangular jam where the inner loop's bound
+// tracks the unrolled variable, as registerblock does; the rectangular
+// jam refuses that shape.
+TEST(PipelineRunner, UnrolljamPicksTheTriangularJamByShape) {
+  Program point;
+  point.param("N");
+  point.array("A", {v("N")});
+  point.array("B", {v("N"), v("N")});
+  point.add(loop("I", c(1), v("N"),
+                 loop("J", v("I"), v("N"),
+                      assign(lv("A", {v("J")}),
+                             a("A", {v("J")}) + a("B", {v("I"), v("J")})))));
+  Program p = point.clone();
+  verify::VerifiedPipeline vp(p);
+  (void)run_spec(p, "unrolljam(u=2)");
+  EXPECT_TRUE(vp.ok()) << vp.to_string();
+  EXPECT_NE(print(p.body), print(point.body));
+  for (long n : {13L, 2L})
+    EXPECT_EQ(0.0, blk::test::run_and_diff(point, p, {{"N", n}}, 5))
+        << "N=" << n << "\n" << print(p.body);
+}
+
 // focus retargets; composite autoblock equals the primitive spelling.
 TEST(PipelineRunner, CompositeAutoblockMatchesPrimitiveSpelling) {
   Program a = blk::kernels::lu_point_ir();
