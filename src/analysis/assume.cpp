@@ -1,6 +1,7 @@
 #include "analysis/assume.hpp"
 
 #include <algorithm>
+#include <bitset>
 #include <functional>
 #include <initializer_list>
 #include <utility>
@@ -111,12 +112,19 @@ bool Assumptions::nonneg_with(const Affine& f,
   // residue's.  Index the facts by (hash, position) and find the last fact
   // by lookup among positions >= the previous one; the exact subtraction
   // confirms each hit, so a collision costs one subtraction, not a proof.
+  // Most keys match no fact at all: a bitmap over the low bits of every
+  // hash rejects those in O(1), before the binary search.
   std::vector<std::pair<std::uint64_t, std::size_t>> table;
   table.reserve(nf);
-  for (std::size_t i = 0; i < nf; ++i) table.emplace_back(hash[i], i);
+  std::bitset<1024> present;
+  for (std::size_t i = 0; i < nf; ++i) {
+    table.emplace_back(hash[i], i);
+    present[hash[i] % present.size()] = true;
+  }
   std::sort(table.begin(), table.end());
   auto closes = [&](std::uint64_t key, std::size_t from,
                     std::initializer_list<std::size_t> used) {
+    if (!present[key % present.size()]) return false;
     for (auto it = std::lower_bound(table.begin(), table.end(),
                                     std::pair{key, from});
          it != table.end() && it->first == key; ++it) {
@@ -197,7 +205,9 @@ MinMaxHit find_minmax(const IExprPtr& e, int pol = 1) {
     case IKind::CeilDiv:
       return find_minmax(e->lhs, pol);  // monotone in the numerator
     case IKind::ArrayElem:
-      return find_minmax(e->lhs, 0);
+      // Opaque: replace_node cannot rebuild an element, and the leaf drops
+      // any fact or goal containing one, so a split inside never helps.
+      return {};
   }
   return {};
 }
@@ -310,6 +320,8 @@ IExprPtr Assumptions::resolve_minmax(const IExprPtr& e) const {
       if (r_ge_l) return r;
       return imax(std::move(l), std::move(r));
     }
+    case IKind::ArrayElem:
+      return e;
     case IKind::FloorDiv:
       return ifloordiv(resolve_minmax(e->lhs), e->rhs->value);
     case IKind::CeilDiv:

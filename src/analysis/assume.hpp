@@ -46,7 +46,8 @@ class Assumptions {
   /// fact may repeat; a constant partial residue ends its branch).  Facts
   /// are indexed by a hash of their linear part, so for n facts the search
   /// costs O(n^2 log n) hash lookups plus one exact subtraction per hit,
-  /// not O(n^3) subtractions.
+  /// not O(n^3) subtractions; a bitmap over the hashes' low bits answers
+  /// most lookups that miss in O(1).
   [[nodiscard]] bool nonneg(const ir::Affine& f) const;
 
   /// Provably e >= 0 for a general index expression.  MIN/MAX nodes are

@@ -255,19 +255,24 @@ void enumerate_vectors(const std::vector<LoopConstraint>& cons,
   return false;
 }
 
+/// True when `e` has a MIN or MAX node anywhere.
+[[nodiscard]] bool has_minmax(const IExpr& e) {
+  if (e.kind == IKind::Min || e.kind == IKind::Max) return true;
+  return (e.lhs && has_minmax(*e.lhs)) || (e.rhs && has_minmax(*e.rhs));
+}
+
 /// Banerjee-style feasibility screen for one candidate direction vector.
 /// The source instance keeps its variable names; the sink instance's loop
 /// variables are renamed (var -> var@d) wherever the two instances may
 /// differ — common loops with a non-EQ direction, and every non-common
-/// loop.  Loop ranges and the direction constraints become facts, and the
-/// vector is infeasible if any subscript difference is provably >= 1 or
-/// <= -1.
+/// loop.  `src_ctx` holds the caller's facts and the source loops' ranges;
+/// a copy gains the renamed sink ranges and the direction constraints, in
+/// that order, and the vector is infeasible if any subscript difference is
+/// provably >= 1 or <= -1.
 [[nodiscard]] bool vector_feasible(const RefInfo& a, const RefInfo& b,
                                    const std::vector<Loop*>& common,
                                    const DirVec& vec,
-                                   const Assumptions* base) {
-  if (a.subs.empty() || b.subs.empty()) return true;  // scalars: conflict
-
+                                   const Assumptions& src_ctx) {
   std::map<std::string, std::string> ren;
   for (std::size_t l = 0; l < common.size(); ++l)
     if (vec[l] != Dir::EQ) ren[common[l]->var] = common[l]->var + "@d";
@@ -279,8 +284,7 @@ void enumerate_vectors(const std::vector<LoopConstraint>& cons,
     return e;
   };
 
-  Assumptions ctx = base ? *base : Assumptions{};
-  for (const Loop* l : a.loops) ctx.add_loop_range(*l);
+  Assumptions ctx = src_ctx;
   for (const Loop* l : b.loops) {
     auto it = ren.find(l->var);
     if (it == ren.end()) continue;  // same instance as the source side
@@ -294,11 +298,25 @@ void enumerate_vectors(const std::vector<LoopConstraint>& cons,
       ctx.assert_ge(ivar(v), iadd(ivar(v + "@d"), 1));
   }
 
+  // The prover splits the context's MIN/MAX facts, never a MIN/MAX-free
+  // goal, and its leaves see only the goal's affine form: each distinct
+  // form is proved once.  Dimensions with equal subscript differences
+  // share it; a difference of 0 asks -1 >= 0 twice, which still goes to
+  // the prover, since contradictory facts prove it.
+  std::vector<std::pair<Affine, bool>> proved;
+  auto provable = [&](const IExprPtr& goal) {
+    std::optional<Affine> key;
+    if (!has_minmax(*goal)) key = as_affine(*goal);
+    if (!key) return ctx.nonneg_expr(goal);
+    for (const auto& [f, ok] : proved)
+      if (f == *key) return ok;
+    return proved.emplace_back(std::move(*key), ctx.nonneg_expr(goal)).second;
+  };
   std::size_t rank = std::min(a.subs.size(), b.subs.size());
   for (std::size_t d = 0; d < rank; ++d) {
     IExprPtr h = isub(a.subs[d], renamed(b.subs[d]));
-    if (ctx.nonneg_expr(isub(h, iconst(1)))) return false;   // h >= 1
-    if (ctx.nonneg_expr(isub(iconst(-1), h))) return false;  // h <= -1
+    if (provable(isub(h, iconst(1)))) return false;   // h >= 1
+    if (provable(isub(iconst(-1), h))) return false;  // h <= -1
   }
   return true;
 }
@@ -342,15 +360,19 @@ std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
   DirVec cur;
   enumerate_vectors(cons, 0, cur, lex_pos, lex_neg, all_eq);
 
-  // Banerjee screen with symbolic loop-range facts.
-  std::erase_if(lex_pos, [&](const DirVec& v) {
-    return !vector_feasible(a, b, common, v, ctx);
-  });
-  std::erase_if(lex_neg, [&](const DirVec& v) {
-    return !vector_feasible(a, b, common, v, ctx);
-  });
-  if (all_eq)
-    all_eq = vector_feasible(a, b, common, DirVec(depth, Dir::EQ), ctx);
+  // Banerjee screen with symbolic loop-range facts; scalars always
+  // conflict.  The caller's facts and the source ranges are built once
+  // for every vector of the pair.
+  if (!a.subs.empty() && !b.subs.empty()) {
+    Assumptions src_ctx = ctx ? *ctx : Assumptions{};
+    for (const Loop* l : a.loops) src_ctx.add_loop_range(*l);
+    auto infeasible = [&](const DirVec& v) {
+      return !vector_feasible(a, b, common, v, src_ctx);
+    };
+    std::erase_if(lex_pos, infeasible);
+    std::erase_if(lex_neg, infeasible);
+    if (all_eq) all_eq = !infeasible(DirVec(depth, Dir::EQ));
+  }
 
   std::vector<Dependence> out;
   // a -> b: lexicographically positive vectors, plus all-EQ when `a`

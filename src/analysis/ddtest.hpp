@@ -78,9 +78,11 @@ struct Dependence {
 /// Candidate direction vectors are screened with a Banerjee-style proof
 /// under loop-range facts plus any caller-supplied `ctx` facts: for each
 /// vector, if the subscript difference is provably nonzero in some
-/// dimension, the vector is infeasible.  Throws blk::Error when the pair
-/// has more than 3^8 candidate vectors (a deeper nest than the screen
-/// handles in bounded time and memory).
+/// dimension, the vector is infeasible.  The facts every vector shares
+/// (`ctx` and the source loops' ranges) are built once per pair, and a
+/// vector proves each distinct affine goal once.  Throws blk::Error when
+/// the pair has more than 3^8 candidate vectors (a deeper nest than the
+/// screen handles in bounded time and memory).
 [[nodiscard]] std::vector<Dependence> test_pair(
     const RefInfo& a, const RefInfo& b, const Assumptions* ctx = nullptr);
 

@@ -141,6 +141,29 @@ TEST(Assume, ResolveMinmaxRecursesThroughArithmetic) {
   EXPECT_EQ(to_string(ctx.resolve_minmax(e)), "B+1");
 }
 
+TEST(Assume, ResolveMinmaxLeavesArrayElements) {
+  // An index-array element (a loop bound such as B(1)) has no rhs; it is
+  // returned as it is, while the MIN/MAX around it still resolves.
+  Assumptions ctx;
+  ctx.assert_ge(v("A"), v("B"));
+  EXPECT_EQ(to_string(ctx.resolve_minmax(ielem("B", c(1)))), "B(1)");
+  IExprPtr e = iadd(ielem("B", imin(v("A"), v("B"))), imin(v("A"), v("B")));
+  EXPECT_EQ(to_string(ctx.resolve_minmax(e)), "B(MIN(A,B))+B");
+}
+
+TEST(Assume, ArrayElementFactDoesNotBlockProofs) {
+  // A MIN inside an element's subscript is not split: the element is
+  // opaque, so the fact is dropped at the leaf and every other proof
+  // goes through.
+  Assumptions ctx;
+  ctx.assert_ge(v("N"), ielem("B", imin(v("I"), v("J"))));
+  ctx.assert_ge(v("N"), c(5));
+  EXPECT_TRUE(ctx.nonneg_expr(c(1)));
+  EXPECT_TRUE(ctx.ge(v("N"), c(5)));
+  EXPECT_TRUE(ctx.nonneg_expr(v("N") - 5));
+  EXPECT_FALSE(ctx.ge(v("N"), c(6)));
+}
+
 TEST(Assume, EqViaBidirectionalProof) {
   Assumptions ctx;
   ctx.assert_ge(v("A"), v("B"));
