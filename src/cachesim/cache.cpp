@@ -1,7 +1,9 @@
 #include "cachesim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <sstream>
+#include <cstdio>
+#include <string>
 
 #include "interp/vm.hpp"
 #include "ir/error.hpp"
@@ -22,68 +24,66 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
     throw Error("Cache: geometry fields must be powers of two");
   if (cfg.size_bytes % (cfg.line_bytes * cfg.assoc) != 0)
     throw Error("Cache: size must be a multiple of line_bytes*assoc");
-  set_shift_ = static_cast<std::size_t>(std::countr_zero(cfg.line_bytes));
+  line_shift_ = static_cast<unsigned>(std::countr_zero(cfg.line_bytes));
+  way_shift_ = static_cast<unsigned>(std::countr_zero(cfg.assoc));
   set_mask_ = cfg.num_sets() - 1;
-  lines_.assign(cfg.num_sets() * cfg.assoc, Line{});
+  tags_.assign(cfg.num_sets() * cfg.assoc, 0);
+  resident_.assign(cfg.num_sets(), 0);
 }
 
 bool Cache::access(std::uint64_t addr) { return access_ex(addr).hit; }
 
 Cache::AccessResult Cache::access_ex(std::uint64_t addr) {
-  ++clock_;
   ++stats_.accesses;
-  std::uint64_t block = addr >> set_shift_;
-  std::size_t set = static_cast<std::size_t>(block) & set_mask_;
-  Line* base = &lines_[set * cfg_.assoc];
+  const std::uint64_t block = addr >> line_shift_;
+  const std::size_t set = set_of(block);
+  std::uint64_t* ways = &tags_[set << way_shift_];
+  std::size_t& n = resident_[set];
 
-  Line* victim = base;
-  for (std::size_t w = 0; w < cfg_.assoc; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == block) {
-      line.last_use = clock_;
+  // One pass finds `block` and moves it to the front: every block ahead
+  // of it moves back one way.  On a miss all n move back, and the last
+  // one either takes a free way or is the least recently used victim.
+  std::uint64_t carried = block;
+  for (std::size_t w = 0; w < n; ++w) {
+    const std::uint64_t tag = ways[w];
+    ways[w] = carried;
+    if (tag == block) {
       ++stats_.hits;
       return {.hit = true};
     }
-    if (!line.valid) {
-      victim = &line;
-    } else if (victim->valid && line.last_use < victim->last_use) {
-      victim = &line;
-    }
+    carried = tag;
   }
   ++stats_.misses;
-  AccessResult result{.hit = false};
-  if (victim->valid) {
-    ++stats_.evictions;
-    result.evicted = true;
-    result.victim_addr = victim->tag << set_shift_;
+  if (n < cfg_.assoc) {
+    ways[n++] = carried;
+    return {};
   }
-  victim->valid = true;
-  victim->tag = block;
-  victim->last_use = clock_;
-  return result;
+  ++stats_.evictions;
+  return {.evicted = true, .victim_addr = carried << line_shift_};
 }
 
 bool Cache::invalidate(std::uint64_t addr) {
-  std::uint64_t block = addr >> set_shift_;
-  std::size_t set = static_cast<std::size_t>(block) & set_mask_;
-  Line* base = &lines_[set * cfg_.assoc];
-  for (std::size_t w = 0; w < cfg_.assoc; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == block) {
-      line.valid = false;
-      return true;
-    }
-  }
-  return false;
+  const std::uint64_t block = addr >> line_shift_;
+  const std::size_t set = set_of(block);
+  std::uint64_t* ways = &tags_[set << way_shift_];
+  std::uint64_t* end = ways + resident_[set];
+  std::uint64_t* it = std::find(ways, end, block);
+  if (it == end) return false;
+  std::copy(it + 1, end, it);
+  --resident_[set];
+  return true;
 }
 
-void Cache::simulate(std::span<const interp::TraceRecord> recs) {
-  for (const interp::TraceRecord& r : recs) access(r.addr);
+bool Cache::contains(std::uint64_t addr) const {
+  const std::uint64_t block = addr >> line_shift_;
+  const std::size_t set = set_of(block);
+  const std::uint64_t* ways = &tags_[set << way_shift_];
+  const std::uint64_t* end = ways + resident_[set];
+  return std::find(ways, end, block) != end;
 }
 
 void Cache::reset() {
-  lines_.assign(lines_.size(), Line{});
-  clock_ = 0;
+  std::fill(resident_.begin(), resident_.end(), 0);
   stats_ = CacheStats{};
 }
 
@@ -100,23 +100,51 @@ Hierarchy::Hierarchy(std::vector<CacheConfig> levels) {
   if (levels.empty()) throw Error("Hierarchy: need at least one level");
   levels_.reserve(levels.size());
   for (const auto& cfg : levels) levels_.emplace_back(cfg);
+  for (std::size_t i = 1; i < levels.size(); ++i)
+    if (levels[i - 1].line_bytes > levels[i].line_bytes)
+      throw Error("Hierarchy: L" + std::to_string(i) + "'s " +
+                  std::to_string(levels[i - 1].line_bytes) +
+                  "B line is larger than L" + std::to_string(i + 1) + "'s " +
+                  std::to_string(levels[i].line_bytes) +
+                  "B line; an inclusive hierarchy needs every line to fit "
+                  "in one line of each level below it");
 }
 
 std::size_t Hierarchy::access(std::uint64_t addr) {
   for (std::size_t i = 0; i < levels_.size(); ++i) {
-    Cache::AccessResult r = levels_[i].access_ex(addr);
-    // Inclusion: a block displaced from level i may no longer be cached
-    // in any level above it.
-    if (r.evicted)
-      for (std::size_t j = 0; j < i; ++j)
-        if (levels_[j].invalidate(r.victim_addr)) ++back_invalidations_;
+    const Cache::AccessResult r = levels_[i].access_ex(addr);
+    if (r.evicted) back_invalidate(i, r.victim_addr);
     if (r.hit) return i;
   }
   return levels_.size();
 }
 
+void Hierarchy::back_invalidate(std::size_t level, std::uint64_t victim_addr) {
+  // Inclusion: no part of the block displaced from `level` may stay cached
+  // above it.  Upper lines are no larger (checked at construction), so the
+  // block spans a whole number of each upper level's lines.
+  const std::size_t span = levels_[level].config().line_bytes;
+  for (std::size_t j = 0; j < level; ++j) {
+    const std::size_t step = levels_[j].config().line_bytes;
+    for (std::size_t off = 0; off < span; off += step)
+      if (levels_[j].invalidate(victim_addr + off)) ++back_invalidations_;
+  }
+}
+
 void Hierarchy::simulate(std::span<const interp::TraceRecord> recs) {
-  for (const interp::TraceRecord& r : recs) access(r.addr);
+  Cache& l1 = levels_.front();
+  std::uint64_t front_hits = 0;  // flushed to L1's counters once per batch
+  for (const interp::TraceRecord& r : recs) {
+    const std::uint64_t block = r.addr >> l1.line_shift_;
+    const std::size_t set = l1.set_of(block);
+    if (l1.tags_[set << l1.way_shift_] == block && l1.resident_[set] != 0) {
+      ++front_hits;
+      continue;
+    }
+    access(r.addr);
+  }
+  l1.stats_.accesses += front_hits;
+  l1.stats_.hits += front_hits;
 }
 
 void Hierarchy::reset() {

@@ -73,6 +73,16 @@ struct CacheStats {
                           std::span<const double> latencies);
 
 /// One-level set-associative cache with true-LRU replacement.
+///
+/// Each set keeps the tags of its resident blocks in recency order, most
+/// recently used first, plus a count of how many it holds.  That order is
+/// the whole of true-LRU state, so no clock or per-way stamp is kept: a
+/// hit moves its block to the front, a miss in a set with a free way
+/// fills without evicting, and a miss in a full set drops the last block.
+/// The resident count, not a sentinel tag, marks the free ways: with
+/// 1-byte lines every 64-bit tag names a real block.  An 8-way set is one
+/// 64-byte run of tags, and a hit on the set's most recent block (most
+/// accesses of a blocked loop nest) is one compare.
 class Cache {
  public:
   explicit Cache(const CacheConfig& cfg);
@@ -91,32 +101,33 @@ class Cache {
   };
   AccessResult access_ex(std::uint64_t addr);
 
-  /// Drop `addr`'s line if resident (back-invalidation); returns true when
-  /// a line was actually dropped.  Not counted as a capacity eviction.
+  /// Drop `addr`'s line if resident (back-invalidation), keeping the other
+  /// blocks of its set in recency order; returns true when a line was
+  /// actually dropped.  Not counted as a capacity eviction.
   bool invalidate(std::uint64_t addr);
 
-  /// Replay a whole trace batch (equivalent to calling access() per
-  /// record, without per-access callback overhead).  Pairs with the VM's
-  /// TraceBuffer: pass it as the buffer's flush sink to stream traces of
-  /// any length through the cache in constant memory.
-  void simulate(std::span<const interp::TraceRecord> recs);
+  /// Whether `addr`'s line is resident; changes no state or counter.
+  [[nodiscard]] bool contains(std::uint64_t addr) const;
 
   void reset();
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t last_use = 0;
-    bool valid = false;
-  };
+  friend class Hierarchy;  // inlines the most-recent-block hit
+
+  [[nodiscard]] std::size_t set_of(std::uint64_t block) const {
+    return static_cast<std::size_t>(block) & set_mask_;
+  }
 
   CacheConfig cfg_;
-  std::size_t set_shift_;  ///< log2(line_bytes)
+  unsigned line_shift_;    ///< log2(line_bytes)
+  unsigned way_shift_;     ///< log2(assoc)
   std::size_t set_mask_;   ///< num_sets - 1
-  std::vector<Line> lines_;  ///< num_sets * assoc, set-major
-  std::uint64_t clock_ = 0;
+  /// num_sets * assoc block numbers, set-major; set s's resident blocks
+  /// are its first resident_[s] entries, most recently used first.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::size_t> resident_;
   CacheStats stats_;
 };
 
@@ -129,13 +140,16 @@ class Cache {
 
 /// Multi-level hierarchy: an access that misses level i is looked up in
 /// level i+1.  Contents are kept *inclusive*: when a lower level evicts a
-/// block, every level above it is back-invalidated (the real mechanism on
-/// inclusive hierarchies, and the reason upper-level hit ratios degrade
-/// when a trace overflows lower-level sets).  As in hardware, an upper-
-/// level hit does not refresh the lower level's LRU state, so a block hot
-/// in L1 can still become L2's LRU victim — an "inclusion victim".
+/// block, every line of it cached in a level above is back-invalidated
+/// (the real mechanism on inclusive hierarchies, and the reason upper-
+/// level hit ratios degrade when a trace overflows lower-level sets).  As
+/// in hardware, an upper-level hit does not refresh the lower level's LRU
+/// state, so a block hot in L1 can still become L2's LRU victim — an
+/// "inclusion victim".
 class Hierarchy {
  public:
+  /// Throws blk::Error when a level's line is larger than a lower level's:
+  /// a fill of such a line could not stay inside one lower-level block.
   explicit Hierarchy(std::vector<CacheConfig> levels);
 
   /// Simulate one access; returns the level that hit (0-based), or the
@@ -147,10 +161,14 @@ class Hierarchy {
     return back_invalidations_;
   }
 
-  /// Bulk replay of a trace batch through every level.
+  /// Bulk replay of a trace batch through every level; equivalent to
+  /// access() per record.  An access to the most recent block of its L1
+  /// set is an L1 hit that changes no LRU order, so it is counted inline
+  /// and only the others take the per-level path.
   void simulate(std::span<const interp::TraceRecord> recs);
 
   [[nodiscard]] std::size_t num_levels() const { return levels_.size(); }
+  [[nodiscard]] const Cache& level(std::size_t i) const { return levels_[i]; }
   [[nodiscard]] const CacheStats& stats(std::size_t level) const {
     return levels_[level].stats();
   }
@@ -163,6 +181,10 @@ class Hierarchy {
   [[nodiscard]] double amat(std::span<const double> latencies) const;
 
  private:
+  /// Purge every line of the block `level` just evicted from the levels
+  /// above it, counting each line dropped.
+  void back_invalidate(std::size_t level, std::uint64_t victim_addr);
+
   std::vector<Cache> levels_;
   std::uint64_t back_invalidations_ = 0;
 };
