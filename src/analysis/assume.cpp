@@ -339,6 +339,45 @@ IExprPtr Assumptions::resolve_minmax(const IExprPtr& e) const {
   }
 }
 
+namespace {
+
+void append_long(std::string& out, long v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void append_name(std::string& out, const std::string& s) {
+  append_long(out, static_cast<long>(s.size()));
+  out += s;
+}
+
+}  // namespace
+
+void append_structure(std::string& out, const IExpr* e) {
+  if (!e) {
+    out += '\xff';
+    return;
+  }
+  out += static_cast<char>(e->kind);
+  append_long(out, e->value);
+  append_name(out, e->name);
+  append_structure(out, e->lhs.get());
+  append_structure(out, e->rhs.get());
+}
+
+void Assumptions::fingerprint(std::string& out) const {
+  append_long(out, static_cast<long>(facts_.size()));
+  for (const Affine& f : facts_) {
+    append_long(out, static_cast<long>(f.coef.size()));
+    for (const auto& [v, k] : f.coef) {
+      append_name(out, v);
+      append_long(out, k);
+    }
+    append_long(out, f.constant);
+  }
+  append_long(out, static_cast<long>(raw_facts_.size()));
+  for (const IExprPtr& f : raw_facts_) append_structure(out, f.get());
+}
+
 bool Assumptions::ge(const IExprPtr& a, const IExprPtr& b) const {
   if (raw_facts_.empty()) {
     if (auto d = affine_difference(a, b)) return nonneg(*d);

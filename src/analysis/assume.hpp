@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "ir/affine.hpp"
@@ -67,6 +68,12 @@ class Assumptions {
 
   [[nodiscard]] std::size_t fact_count() const { return facts_.size(); }
 
+  /// Append a structural encoding of the facts, in order — the affine
+  /// facts, then the raw MIN/MAX facts — to `out`.  Contexts with equal
+  /// fingerprints answer every query alike; the pair memo
+  /// (analysis/manager.hpp) keys contexts by it.
+  void fingerprint(std::string& out) const;
+
  private:
   std::vector<ir::Affine> facts_;      ///< each fact f means f >= 0
   std::vector<std::uint64_t> hashes_;  ///< hash of each fact's linear part
@@ -79,5 +86,12 @@ class Assumptions {
   [[nodiscard]] bool nonneg_with(const ir::Affine& f,
                                  const std::vector<ir::Affine>& extra) const;
 };
+
+/// Append a prefix-free structural encoding of `e` — every node's kind,
+/// constant, name and children, a null tree as one tag — to `out`.  Unlike
+/// ir::to_string it keeps the tree's shape: MIN(MIN(a,b),c) and
+/// MIN(a,MIN(b,c)) print alike but encode differently, and the prover's
+/// case split can tell them apart.
+void append_structure(std::string& out, const ir::IExpr* e);
 
 }  // namespace blk::analysis

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/manager.hpp"
 #include "ir/affine.hpp"
 #include "ir/error.hpp"
 
@@ -323,8 +324,8 @@ void enumerate_vectors(const std::vector<LoopConstraint>& cons,
 
 }  // namespace
 
-std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
-                                  const Assumptions* ctx) {
+std::vector<PairEdge> pair_edges(const RefInfo& a, const RefInfo& b,
+                                 const Assumptions* ctx) {
   if (a.array != b.array) return {};
   std::size_t depth = a.common_depth(b);
   std::vector<Loop*> common(a.loops.begin(),
@@ -374,7 +375,7 @@ std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
     if (all_eq) all_eq = !infeasible(DirVec(depth, Dir::EQ));
   }
 
-  std::vector<Dependence> out;
+  std::vector<PairEdge> out;
   // a -> b: lexicographically positive vectors, plus all-EQ when `a`
   // textually precedes `b`.
   {
@@ -385,8 +386,7 @@ std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
         textually_before(a, b))
       vecs.push_back(DirVec(depth, Dir::EQ));
     if (!vecs.empty() || (depth == 0 && all_eq && textually_before(a, b)))
-      out.push_back({.src = a,
-                     .dst = b,
+      out.push_back({.reversed = false,
                      .type = classify(a.is_write, b.is_write),
                      .vectors = std::move(vecs),
                      .distances = distances});
@@ -403,18 +403,35 @@ std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
     for (std::size_t l = 0; l < depth; ++l)
       if (distances[l]) rev_dist[l] = -*distances[l];
     if (!vecs.empty() || (depth == 0 && all_eq && textually_before(b, a)))
-      out.push_back({.src = b,
-                     .dst = a,
+      out.push_back({.reversed = true,
                      .type = classify(b.is_write, a.is_write),
                      .vectors = std::move(vecs),
                      .distances = std::move(rev_dist)});
   }
   // Drop edges that ended up with no feasible vectors (unless depth 0
   // loop-independent which is encoded with one empty vector).
-  std::erase_if(out, [&](const Dependence& dep) {
-    return dep.vectors.empty() && depth != 0;
+  std::erase_if(out, [&](const PairEdge& e) {
+    return e.vectors.empty() && depth != 0;
   });
   return out;
+}
+
+std::vector<Dependence> pair_dependences(const RefInfo& a, const RefInfo& b,
+                                         std::vector<PairEdge> edges) {
+  std::vector<Dependence> out;
+  out.reserve(edges.size());
+  for (PairEdge& e : edges)
+    out.push_back({.src = e.reversed ? b : a,
+                   .dst = e.reversed ? a : b,
+                   .type = e.type,
+                   .vectors = std::move(e.vectors),
+                   .distances = std::move(e.distances)});
+  return out;
+}
+
+std::vector<Dependence> test_pair(const RefInfo& a, const RefInfo& b,
+                                  const Assumptions* ctx) {
+  return pair_dependences(a, b, pair_edges(a, b, ctx));
 }
 
 std::vector<Dependence> all_dependences(ir::StmtList& body,
@@ -424,6 +441,9 @@ std::vector<Dependence> all_dependences(ir::StmtList& body,
 
 std::vector<Dependence> all_dependences(const std::vector<RefInfo>& refs,
                                         const Assumptions* ctx) {
+  AnalysisManager* am = current_analysis_manager();
+  const AnalysisManager::PairKeys keys =
+      am ? am->pair_keys(refs, ctx) : AnalysisManager::PairKeys{};
   std::vector<Dependence> out;
   for (std::size_t i = 0; i < refs.size(); ++i) {
     for (std::size_t j = i; j < refs.size(); ++j) {
@@ -434,7 +454,8 @@ std::vector<Dependence> all_dependences(const std::vector<RefInfo>& refs,
       // A self pair is a write's output dependence across iterations; the
       // all-EQ vector is the same access and is skipped because
       // textually_before(a, a) is false.
-      auto deps = test_pair(a, b, ctx);
+      auto deps =
+          am ? am->test_pair(refs, keys, i, j, ctx) : test_pair(a, b, ctx);
       for (auto& d : deps) out.push_back(std::move(d));
     }
   }

@@ -55,12 +55,25 @@ struct Dependence {
   std::vector<std::optional<long>> distances;
 };
 
+/// One edge of a reference pair's outcome, relative to the pair (a, b): it
+/// runs a -> b, or b -> a when `reversed`.  The pair memo
+/// (analysis/manager.hpp) stores these and rebuilds each caller's
+/// Dependences from the caller's own references.
+struct PairEdge {
+  bool reversed = false;
+  DepType type = DepType::Flow;
+  std::vector<DirVec> vectors;
+  std::vector<std::optional<long>> distances;
+};
+
 /// All flow, anti and output dependences among the memory references in
 /// `body`; `ctx` adds symbolic facts to the direction-vector screen.
 [[nodiscard]] std::vector<Dependence> all_dependences(
     ir::StmtList& body, const Assumptions* ctx = nullptr);
 
 /// All dependences among `refs`, a subsequence of collect_refs' output.
+/// Under an installed AnalysisManager each pair is answered by its pair
+/// memo; with none, every pair is tested.
 [[nodiscard]] std::vector<Dependence> all_dependences(
     const std::vector<RefInfo>& refs, const Assumptions* ctx = nullptr);
 
@@ -85,6 +98,14 @@ struct Dependence {
 /// screen handles in bounded time and memory).
 [[nodiscard]] std::vector<Dependence> test_pair(
     const RefInfo& a, const RefInfo& b, const Assumptions* ctx = nullptr);
+
+/// test_pair's outcome relative to the pair, and the Dependences it makes
+/// between `a` and `b`: test_pair(a, b, ctx) is
+/// pair_dependences(a, b, pair_edges(a, b, ctx)).
+[[nodiscard]] std::vector<PairEdge> pair_edges(
+    const RefInfo& a, const RefInfo& b, const Assumptions* ctx = nullptr);
+[[nodiscard]] std::vector<Dependence> pair_dependences(
+    const RefInfo& a, const RefInfo& b, std::vector<PairEdge> edges);
 
 [[nodiscard]] const char* to_string(DepType t);
 [[nodiscard]] char to_char(Dir d);

@@ -62,6 +62,91 @@ Section AnalysisManager::section_within(const RefInfo& ref,
   return s;
 }
 
+namespace {
+
+void append_size(std::string& out, std::size_t n) {
+  out.append(reinterpret_cast<const char*>(&n), sizeof n);
+}
+
+/// Everything test_pair reads of one reference: its array, access,
+/// subscript trees and enclosing loop headers, outermost first.
+std::string ref_key(const RefInfo& r) {
+  std::string k;
+  append_size(k, r.array.size());
+  k += r.array;
+  k += r.is_write ? 'w' : 'r';
+  append_size(k, r.subs.size());
+  for (const auto& s : r.subs) append_structure(k, s.get());
+  append_size(k, r.loops.size());
+  for (const ir::Loop* l : r.loops) {
+    append_size(k, l->var.size());
+    k += l->var;
+    append_structure(k, l->lb.get());
+    append_structure(k, l->ub.get());
+    append_structure(k, l->step.get());
+  }
+  return k;
+}
+
+/// `key`'s id in `table`, interning it when new.
+std::uint32_t intern(std::unordered_map<std::string, std::uint32_t>& table,
+                     std::string key) {
+  const auto id = static_cast<std::uint32_t>(table.size());
+  return table.try_emplace(std::move(key), id).first->second;
+}
+
+}  // namespace
+
+void AnalysisManager::clear_pair_memo() {
+  pair_memo_.clear();
+  ref_ids_.clear();
+  ctx_ids_.clear();
+}
+
+AnalysisManager::PairKeys AnalysisManager::pair_keys(
+    const std::vector<RefInfo>& refs, const Assumptions* ctx) {
+  if (!caching_) return {};
+  if (pair_memo_.size() + ref_ids_.size() + ctx_ids_.size() >=
+      kMaxPairEntries)
+    clear_pair_memo();
+  std::string ck(1, ctx ? 'c' : '-');  // "no context" is its own key
+  if (ctx) ctx->fingerprint(ck);
+  PairKeys keys{.ctx = intern(ctx_ids_, std::move(ck)), .refs = {}};
+  keys.refs.reserve(refs.size());
+  for (const RefInfo& r : refs)
+    keys.refs.push_back(intern(ref_ids_, ref_key(r)));
+  return keys;
+}
+
+std::vector<Dependence> AnalysisManager::test_pair(
+    const std::vector<RefInfo>& refs, const PairKeys& keys, std::size_t i,
+    std::size_t j, const Assumptions* ctx) {
+  const RefInfo& a = refs[i];
+  const RefInfo& b = refs[j];
+  if (!caching_) {
+    ++stats_.pair_misses;
+    return analysis::test_pair(a, b, ctx);
+  }
+  const PairKey key{
+      .a = keys.refs[i],
+      .b = keys.refs[j],
+      .ctx = keys.ctx,
+      .depth = static_cast<std::uint32_t>(a.common_depth(b)),
+      .order = (a.textual_pos > b.textual_pos) -
+               (a.textual_pos < b.textual_pos),
+      .same_stmt = a.stmt == b.stmt,
+      .a_stmt = a.stmt != nullptr,
+      .b_stmt = b.stmt != nullptr};
+  if (auto it = pair_memo_.find(key); it != pair_memo_.end()) {
+    ++stats_.pair_hits;
+    return pair_dependences(a, b, it->second);
+  }
+  ++stats_.pair_misses;
+  std::vector<PairEdge> edges = pair_edges(a, b, ctx);
+  pair_memo_.emplace(key, edges);
+  return pair_dependences(a, b, std::move(edges));
+}
+
 void AnalysisManager::invalidate() {
   ++stats_.invalidations;
   dep_cache_.clear();

@@ -9,27 +9,37 @@
 // after, next-iteration scan) even though the tree only changes when a
 // trial split commits.  The manager caches analysis results between IR
 // mutations: every PassScope ends with `notify_pass_end`, which drops every
-// cached result (every transformation rewrites statement nodes somewhere
-// under its root, and both analysis families key on node identity;
-// aborted passes restore values, not node identities).
+// graph and section (every transformation rewrites statement nodes
+// somewhere under its root, and both analysis families key on node
+// identity; aborted passes restore values, not node identities).
 //
 // Lifetime: dependence graphs are handed out as shared_ptr, so a client
 // holding a graph across a nested committed pass (IndexSetSplit iterating
 // recurrence edges while trial splits commit) keeps its — now stale, but
 // valid — copy alive, exactly as the old stack-built graphs did.
 //
+// The pair memo: `all_dependences` answers each reference pair from the
+// innermost installed manager's memo of `test_pair` outcomes, keyed by the
+// pair's content — both references' arrays, accesses, subscript trees and
+// loop headers, their common depth, textual order and owners, and the
+// context's facts — never by node identity.  A key is fully determined by
+// what `test_pair` reads, so entries cannot go stale: `invalidate()` keeps
+// them, and the pairs of unchanged subtrees, of the validator's clones and
+// of the next pass's pre side are tested once per manager.
+//
 // Threading: managers are installed per thread (the fuzzer runs campaigns
-// from a thread pool).  `ScopedAnalysisManager` pushes onto a thread_local
-// stack, mirroring the pass-observer discipline; transforms reach the
-// innermost installed manager through `dep_graph_for`, which degrades to
-// a fresh build when no manager is active — caching is a pure
-// accelerator, never a requirement.
+// from a thread pool), and each owns its memo.  `ScopedAnalysisManager`
+// pushes onto a thread_local stack, mirroring the pass-observer
+// discipline; transforms reach the innermost installed manager through
+// `dep_graph_for` and `all_dependences`, which compute fresh when no
+// manager is active — caching is a pure accelerator, never a requirement.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/depgraph.hpp"
@@ -56,27 +66,55 @@ class AnalysisManager {
   /// subscript-node identities, which are stable between IR mutations).
   Section section_within(const RefInfo& ref, const ir::Loop& outer);
 
-  /// Drop every cached result.  Called from the PassScope hook; also call
-  /// directly after mutating the tree outside any pass (manual trial
-  /// undo).
+  /// The pair memo's keys for one `all_dependences(refs, ctx)` call: the
+  /// context's and each reference's interned content key.  Empty when
+  /// caching is off.  Clears the memo when it holds kMaxPairEntries
+  /// entries, so it never holds more than the cap plus one call's pairs.
+  struct PairKeys {
+    std::uint32_t ctx = 0;
+    std::vector<std::uint32_t> refs;
+  };
+  [[nodiscard]] PairKeys pair_keys(const std::vector<RefInfo>& refs,
+                                   const Assumptions* ctx);
+
+  /// Memoized `test_pair(refs[i], refs[j], ctx)` under `keys` (from
+  /// pair_keys(refs, ctx)): a hit rebuilds the outcome's Dependences from
+  /// `refs`.  A pair that throws is not stored, so it throws every time.
+  [[nodiscard]] std::vector<Dependence> test_pair(
+      const std::vector<RefInfo>& refs, const PairKeys& keys, std::size_t i,
+      std::size_t j, const Assumptions* ctx);
+
+  /// Memo entries (pairs, reference keys and context keys) at which
+  /// pair_keys clears the memo.
+  static constexpr std::size_t kMaxPairEntries = std::size_t{1} << 14;
+
+  /// Drop every identity-keyed result (dependence graphs and sections);
+  /// the content-keyed pair memo stays.  Called from the PassScope hook;
+  /// also call directly after mutating the tree outside any pass (manual
+  /// trial undo).
   void invalidate();
 
   [[nodiscard]] bool caching() const { return caching_; }
 
   /// Flip caching at run time — the benchmark baseline drives the same
   /// pipeline (and the same context-owned manager) with caching off.
-  /// Disabling drops any cached results so later queries rebuild.
+  /// Disabling drops every cached result, the pair memo included, so later
+  /// queries recompute.
   void set_caching(bool on) {
     caching_ = on;
     if (!on) {
       dep_cache_.clear();
       section_cache_.clear();
+      clear_pair_memo();
     }
   }
 
   struct Stats {
     std::uint64_t dep_hits = 0, dep_misses = 0;
     std::uint64_t section_hits = 0, section_misses = 0;
+    /// Pair-memo lookups; hits() and misses() count graphs and sections
+    /// only.
+    std::uint64_t pair_hits = 0, pair_misses = 0;
     std::uint64_t invalidations = 0;
     double build_seconds = 0;  ///< wall time constructing analyses (misses)
 
@@ -107,10 +145,25 @@ class AnalysisManager {
     auto operator<=>(const SectionKey&) const = default;
   };
 
+  /// A reference pair by content: the interned keys of both references
+  /// and of the context, plus what test_pair reads of the pair itself.
+  struct PairKey {
+    std::uint32_t a, b, ctx;
+    std::uint32_t depth;  ///< common loops
+    int order;            ///< sign of a.textual_pos - b.textual_pos
+    bool same_stmt, a_stmt, b_stmt;  ///< a.stmt == b.stmt; each non-null
+    auto operator<=>(const PairKey&) const = default;
+  };
+
+  void clear_pair_memo();
+
   bool caching_;
   Stats stats_;
   std::map<DepKey, DepGraphPtr> dep_cache_;
   std::map<SectionKey, Section> section_cache_;
+  /// Full keys are compared on every lookup; hashes only index them.
+  std::unordered_map<std::string, std::uint32_t> ref_ids_, ctx_ids_;
+  std::map<PairKey, std::vector<PairEdge>> pair_memo_;
 };
 
 /// The innermost manager installed on this thread (nullptr when none).

@@ -24,7 +24,8 @@ namespace {
 RefReuse classify(const RefInfo& ref, const std::string& var,
                   long line_elements,
                   const std::vector<RefInfo>& peers) {
-  RefReuse out{.ref = ref};
+  RefReuse out{
+      .ref = ref, .kind = ReuseKind::None, .distance = {}, .stride = 0};
   bool mentions_var = false;
   for (const auto& sub : ref.subs)
     if (mentions(*sub, var)) mentions_var = true;

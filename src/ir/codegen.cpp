@@ -12,7 +12,9 @@ namespace blk::ir {
 namespace {
 
 // Scalar variables live as C doubles; using one as an index needs a cast.
-const Program* g_prog = nullptr;
+// The emission state is per thread: pipelines on a thread pool emit
+// concurrently.
+thread_local const Program* g_prog = nullptr;
 
 /// Parallel-emission state for one emit_c call.  Loops are matched against
 /// the plan positionally (variable + pre-order occurrence), so the counter
@@ -25,7 +27,7 @@ struct ParEmit {
   int next_id = 0;
   bool outlining = false;  ///< inside a worker body: no nested regions
 };
-ParEmit* g_par = nullptr;
+thread_local ParEmit* g_par = nullptr;
 
 void emit_iexpr(const IExpr& e, std::ostream& os);
 
@@ -616,7 +618,9 @@ std::string emit_c(const Program& p, const std::string& fn_name,
   std::ostringstream os;
   os << "/* generated by blockability emit_c */\n";
   if (par) os << "/* parallel: " << opts.parallel->summary() << " */\n";
-  os << "#include <math.h>\n"
+  // The kernels call only sqrt and fabs: declaring the two saves the host
+  // cc parsing all of math.h.
+  os << "double sqrt(double);\ndouble fabs(double);\n"
      << "#define BLK_MIN(a, b) ((a) < (b) ? (a) : (b))\n"
      << "#define BLK_MAX(a, b) ((a) > (b) ? (a) : (b))\n"
      << "/* floor/ceil division toward -inf/+inf for positive divisors */\n"

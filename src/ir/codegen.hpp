@@ -92,8 +92,9 @@ struct EmitOptions {
 /// distinct arrays), so every caller passes a separate buffer per array
 /// and the parameters are `restrict`.  Scalars become local doubles;
 /// integer-valued scalars used as subscripts are truncated with (long)
-/// casts, matching the interpreter's semantics.  The unit is self-contained (includes math.h
-/// and defines MIN/MAX/floor-division helpers).
+/// casts, matching the interpreter's semantics.  The unit is self-contained:
+/// it declares the two libm functions it may call (sqrt, fabs) rather than
+/// include math.h, and defines MIN/MAX/floor-division helpers.
 [[nodiscard]] std::string emit_c(const Program& p,
                                  const std::string& fn_name,
                                  const EmitOptions& opts = {});

@@ -86,7 +86,9 @@ std::string report_json(const RunReport& report, std::string_view program,
   os << "  \"analysis\": {\"hits\": " << report.analysis.hits()
      << ", \"misses\": " << report.analysis.misses()
      << ", \"invalidations\": " << report.analysis.invalidations
-     << ", \"build_seconds\": " << report.analysis.build_seconds << "},\n";
+     << ", \"build_seconds\": " << report.analysis.build_seconds
+     << ", \"pair_hits\": " << report.analysis.pair_hits
+     << ", \"pair_misses\": " << report.analysis.pair_misses << "},\n";
   if (!native_json.empty())
     os << "  \"native\": " << native_json << ",\n";
   os << "  \"passes\": [\n";

@@ -38,12 +38,12 @@ TEST(ParseCacheConfig, AcceptsCommonSpellings) {
 }
 
 TEST(ParseCacheConfig, RejectsMalformedInput) {
-  EXPECT_THROW(parse_cache_config(""), blk::Error);
-  EXPECT_THROW(parse_cache_config("64K"), blk::Error);
-  EXPECT_THROW(parse_cache_config("64K/64B"), blk::Error);
-  EXPECT_THROW(parse_cache_config("64K/64B/4/2"), blk::Error);
-  EXPECT_THROW(parse_cache_config("64Q/64B/4"), blk::Error);
-  EXPECT_THROW(parse_cache_config("x/64B/4"), blk::Error);
+  EXPECT_THROW((void)parse_cache_config(""), blk::Error);
+  EXPECT_THROW((void)parse_cache_config("64K"), blk::Error);
+  EXPECT_THROW((void)parse_cache_config("64K/64B"), blk::Error);
+  EXPECT_THROW((void)parse_cache_config("64K/64B/4/2"), blk::Error);
+  EXPECT_THROW((void)parse_cache_config("64Q/64B/4"), blk::Error);
+  EXPECT_THROW((void)parse_cache_config("x/64B/4"), blk::Error);
 }
 
 /// The analytic model of point LU's K nest at a probe size.
@@ -77,10 +77,11 @@ TEST(AnalyticModel, LargestFittingRespectsBudget) {
   EXPECT_LE(am.footprint_bytes(pick),
             static_cast<long>(am.budget_bytes))
       << "the pick itself must fit";
-  if (pick < am.trip)
+  if (pick < am.trip) {
     EXPECT_GT(am.footprint_bytes(pick + 1),
               static_cast<long>(am.budget_bytes))
         << "one more iteration must overflow (largest fitting)";
+  }
 }
 
 TEST(AnalyticModel, BiggerCacheNeverShrinksThePick) {
@@ -276,8 +277,11 @@ TEST(SelectBlock, EndToEndThroughThePassManager) {
   EXPECT_EQ(bc.store_hits, 0u);
   EXPECT_EQ(bc.store_misses, bc.table.size());
   // The chosen ks is the metric argmin over the model's candidates.
-  for (const BlockChoice::Row& row : bc.table)
-    if (row.from_model) EXPECT_LE(bc.chosen_metric, row.metric + 1e-12);
+  for (const BlockChoice::Row& row : bc.table) {
+    if (row.from_model) {
+      EXPECT_LE(bc.chosen_metric, row.metric + 1e-12);
+    }
+  }
   // The printed program stays symbolic: a KS parameter, blocked loops.
   EXPECT_TRUE(bc.within_tolerance(1.0));  // sanity: within 100%
 }

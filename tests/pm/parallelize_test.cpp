@@ -22,7 +22,7 @@ using namespace blk::ir;
 using namespace blk::ir::dsl;
 
 /// Run `spec` over `p` and return the context so the plan is inspectable.
-RunReport run_with_ctx(Program& p, const std::string& spec,
+RunReport run_with_ctx(Program& /*p*/, const std::string& spec,
                        PipelineContext& ctx) {
   return run_pipeline(parse_pipeline(spec), ctx);
 }

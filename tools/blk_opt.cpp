@@ -271,7 +271,9 @@ void print_stats(const blk::pm::RunReport& report) {
   std::cerr << "analysis cache: " << report.analysis.hits() << " hits, "
             << report.analysis.misses() << " misses, "
             << report.analysis.invalidations << " invalidations, "
-            << report.analysis.build_seconds << "s building\n";
+            << report.analysis.build_seconds << "s building; pair memo: "
+            << report.analysis.pair_hits << " hits, "
+            << report.analysis.pair_misses << " misses\n";
 }
 
 }  // namespace
